@@ -3,7 +3,13 @@
    The dune rules diff this against the committed .expected files, so an
    emitter refactor that changes any byte of generated CUDA/OpenCL/PTX
    fails `dune runtest` with the diff; intentional changes are accepted
-   with `dune promote`. *)
+   with `dune promote`.
+
+   The [schemes] mode pins the Overtile and split-tiling executors
+   instead: for every suite program (split tiling: the 1D ones) at its
+   test size and at a larger size with many interior blocks, on the
+   GTX 470, at jobs 1 and 2, it prints every counter, the update and
+   block counts and a bit-exact digest of every grid. *)
 
 open Hextile_ir
 module Suite = Hextile_stencils.Suite
@@ -12,6 +18,12 @@ module Hybrid = Hextile_tiling.Hybrid
 module Cuda = Hextile_codegen.Cuda_emit
 module Opencl = Hextile_codegen.Opencl_emit
 module Ptx = Hextile_codegen.Ptx_emit
+module Common = Hextile_schemes.Common
+module Overtile = Hextile_schemes.Overtile
+module Split_tiling = Hextile_schemes.Split_tiling
+module Counters = Hextile_gpusim.Counters
+module Device = Hextile_gpusim.Device
+module Par = Hextile_par.Par
 
 let tiling_of prog =
   let config = Hybrid_exec.default_config prog in
@@ -31,9 +43,51 @@ let emit which (prog : Stencil.t) =
         prog.stmts
   | w -> invalid_arg ("gen_golden: unknown emitter " ^ w)
 
+(* Digest of the IEEE bits of every element: equal iff bit-identical. *)
+let grid_digest (g : Grid.t) =
+  let b = Buffer.create (8 * Array.length g.data) in
+  Array.iter (fun v -> Buffer.add_int64_le b (Int64.bits_of_float v)) g.data;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let pin_result label (r : Common.result) =
+  Fmt.pr "%s updates=%d blocks=%d@." label r.updates r.blocks;
+  Fmt.pr "%s counters %s@." label
+    (String.concat " "
+       (List.map (fun (k, v) -> Fmt.str "%s=%d" k v) (Counters.to_assoc r.counters)));
+  Hashtbl.fold (fun name g acc -> (name, g) :: acc) r.grids []
+  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+  |> List.iter (fun (name, g) -> Fmt.pr "%s grid %s %s@." label name (grid_digest g))
+
+let larger_params (prog : Stencil.t) =
+  match Stencil.spatial_dims prog with
+  | 1 -> [ ("N", 200); ("T", 12) ]
+  | 2 -> [ ("N", 48); ("T", 12) ]
+  | _ -> [ ("N", 24); ("T", 6) ]
+
+let pin_schemes () =
+  List.iter
+    (fun (prog : Stencil.t) ->
+      List.iter
+        (fun params ->
+          let env p = List.assoc p params in
+          let size = Fmt.str "N%d.T%d" (env "N") (env "T") in
+          List.iter
+            (fun jobs ->
+              Par.with_pool ~jobs (fun pool ->
+                  pin_result
+                    (Fmt.str "%s %s overtile jobs%d" prog.name size jobs)
+                    (Overtile.run ~pool prog env Device.gtx470);
+                  if Stencil.spatial_dims prog = 1 then
+                    pin_result
+                      (Fmt.str "%s %s split jobs%d" prog.name size jobs)
+                      (Split_tiling.run ~pool prog env Device.gtx470)))
+            [ 1; 2 ])
+        [ Suite.test_params prog; larger_params prog ])
+    Suite.all
+
 let () =
   let which =
     if Array.length Sys.argv > 1 then Sys.argv.(1)
-    else invalid_arg "gen_golden: expected cuda | opencl | ptx"
+    else invalid_arg "gen_golden: expected cuda | opencl | ptx | schemes"
   in
-  List.iter (emit which) Suite.table3
+  if which = "schemes" then pin_schemes () else List.iter (emit which) Suite.table3
