@@ -31,9 +31,12 @@ type reg = {
   mutable root : node;
   mutable stack : node list;
   tally : (string, int ref) Hashtbl.t;
+  mutable saved : reg option;
+      (** the registry a fork displaced, reinstalled by {!fork_end} *)
 }
 
-let fresh_reg () = { root = fresh_root (); stack = []; tally = Hashtbl.create 32 }
+let fresh_reg () =
+  { root = fresh_root (); stack = []; tally = Hashtbl.create 32; saved = None }
 let main_reg = fresh_reg ()
 let local : reg option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
 let cur () = match Domain.DLS.get local with Some r -> r | None -> main_reg
@@ -119,12 +122,16 @@ let counters () =
 
 type fork = reg
 
-let fork_begin () = Domain.DLS.set local (Some (fresh_reg ()))
+let fork_begin () =
+  let r = fresh_reg () in
+  r.saved <- Domain.DLS.get local;
+  Domain.DLS.set local (Some r)
 
 let fork_end () =
   match Domain.DLS.get local with
   | Some r ->
-      Domain.DLS.set local None;
+      Domain.DLS.set local r.saved;
+      r.saved <- None;
       r
   | None -> invalid_arg "Obs.fork_end: no fork is active on this domain"
 

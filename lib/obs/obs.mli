@@ -80,12 +80,14 @@ type fork
 
 val fork_begin : unit -> unit
 (** Install a fresh fork as the current domain's registry. Subsequent
-    {!start}/{!incr}/… on this domain record into the fork. *)
+    {!start}/{!incr}/… on this domain record into the fork. Forks nest:
+    the displaced registry (the process registry or an enclosing fork)
+    is saved and reinstalled by the matching {!fork_end}. *)
 
 val fork_end : unit -> fork
-(** Detach and return the current domain's fork, restoring the domain to
-    the process registry. Raises [Invalid_argument] if no fork is
-    active. *)
+(** Detach and return the current domain's innermost fork, reinstalling
+    the registry its {!fork_begin} displaced. Raises [Invalid_argument]
+    if no fork is active. *)
 
 val absorb : fork -> unit
 (** Merge a fork into the current registry: its top-level spans and

@@ -163,7 +163,14 @@ let run p (thunks : (unit -> unit) array) =
    imbalanced. [fetch_and_add] uniqueness guarantees every index is
    claimed exactly once no matter how many helpers race on a shard, and
    the shard owner never exits before its cursor passes [hi], so
-   completeness does not depend on stealing at all. *)
+   completeness does not depend on stealing at all.
+
+   Obs output follows the index order, not the schedule: each task opens
+   one fork per maximal run of consecutive indices it claims (nested in
+   [run]'s per-task fork), tagged with the run's first index, and the
+   forks are absorbed sorted by that index. A stealer's indices thus
+   never land among its own shard's, and an unstolen shard costs a
+   single fork. *)
 let map p f (xs : 'a array) : 'b array =
   let n = Array.length xs in
   if n = 0 then [||]
@@ -179,29 +186,49 @@ let map p f (xs : 'a array) : 'b array =
       try out.(i) <- Some (f xs.(i))
       with e -> errs.(i) <- Some (e, Printexc.get_raw_backtrace ())
     in
-    let drain s =
-      let h = hi s in
-      let rec loop () =
-        let i = Atomic.fetch_and_add cursors.(s) 1 in
-        if i < h then begin
-          do_one i;
-          loop ()
+    (* per task: (first index, fork) of each claimed run, newest first *)
+    let forks = Array.make ntasks [] in
+    let task s () =
+      let first = ref (-1) and next = ref (-1) in
+      let close () =
+        if !first >= 0 then begin
+          forks.(s) <- (!first, Obs.fork_end ()) :: forks.(s);
+          first := -1
         end
       in
-      loop ()
+      let drain v =
+        let h = hi v in
+        let rec loop () =
+          let i = Atomic.fetch_and_add cursors.(v) 1 in
+          if i < h then begin
+            if i <> !next then begin
+              close ();
+              Obs.fork_begin ();
+              first := i
+            end;
+            next := i + 1;
+            do_one i;
+            loop ()
+          end
+        in
+        loop ()
+      in
+      drain s;
+      (* cursors only grow, so a shard seen dry stays dry: one
+         round-robin pass suffices *)
+      for k = 1 to ntasks - 1 do
+        let v = (s + k) mod ntasks in
+        if Atomic.get cursors.(v) < hi v then begin
+          Tl.instant "par.shard_steal";
+          drain v
+        end
+      done;
+      close ()
     in
-    run p
-      (Array.init ntasks (fun s () ->
-           drain s;
-           (* cursors only grow, so a shard seen dry stays dry: one
-              round-robin pass suffices *)
-           for k = 1 to ntasks - 1 do
-             let v = (s + k) mod ntasks in
-             if Atomic.get cursors.(v) < hi v then begin
-               Tl.instant "par.shard_steal";
-               drain v
-             end
-           done));
+    run p (Array.init ntasks task);
+    List.concat (Array.to_list forks)
+    |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+    |> List.iter (fun (_, fk) -> Obs.absorb fk);
     (match Array.find_map Fun.id errs with
     | Some (e, bt) -> Printexc.raise_with_backtrace e bt
     | None -> ());

@@ -24,8 +24,12 @@
     {b Observability.} Each parallel task runs under an {!Obs} fork
     (domain-local registry); forks are absorbed into the caller's
     registry in task order once the region completes, so counter totals
-    match the sequential run exactly (span {e ordering} within a region
-    may differ — spans carry wall-clock timestamps anyway).
+    match the sequential run exactly. {!map} (and so {!iter} and
+    {!map_reduce}) forks per maximal run of consecutive indices a task
+    claims and absorbs those forks in index order, so the spans, events
+    and annotations its elements record come out in index order — the
+    same trace shape as the sequential run, however elements were
+    stolen.
 
     Independently, when {!Hextile_obs.Timeline} recording is enabled the
     pool emits wall-clock slices onto per-domain tracks: ["par.region"]

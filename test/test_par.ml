@@ -122,6 +122,38 @@ let test_obs_hammer =
       | Ok _ -> ()
       | Error e -> Alcotest.failf "merged trace JSON does not parse: %s" e)
 
+(* Force a steal: with two tasks over 8 indices, shard 0 is [0, 4) and
+   shard 1 is [4, 8). Item 0 blocks until items 1-3 are done, which only
+   the other task can do — after draining shard 1 it must steal the rest
+   of shard 0. The root spans must still come out in index order, not
+   in the order the stealing task ran them. *)
+let test_obs_order_forced_steal =
+  with_obs (fun () ->
+      let n = 8 in
+      let finished = Array.init n (fun _ -> Atomic.make false) in
+      Par.with_pool ~jobs:2 (fun p ->
+          Par.iter p
+            (fun i ->
+              if i = 0 then begin
+                let cpu0 = Sys.time () in
+                while
+                  not
+                    (Atomic.get finished.(1) && Atomic.get finished.(2)
+                    && Atomic.get finished.(3))
+                do
+                  if Sys.time () -. cpu0 > 60.0 then
+                    Alcotest.fail "the other task never stole shard 0's items";
+                  Domain.cpu_relax ()
+                done
+              end;
+              Obs.span (Fmt.str "item%d" i) (fun () -> Obs.annot "i" (Obs.Int i));
+              Atomic.set finished.(i) true)
+            (Array.init n Fun.id));
+      Alcotest.(check (list string))
+        "spans absorbed in index order"
+        (List.init n (Fmt.str "item%d"))
+        (List.map (fun t -> t.Obs.sname) (Obs.roots ())))
+
 (* ---- gpusim: counters and sanitizer across domains -------------------- *)
 
 let some_addrs l = Array.of_list (List.map (fun x -> Some x) l)
@@ -386,6 +418,8 @@ let suite =
       test_map_reduce_ordered;
     Alcotest.test_case "nested regions degrade to sequential" `Quick
       test_nested_region_degrades;
+    Alcotest.test_case "obs: span order survives a forced steal" `Quick
+      test_obs_order_forced_steal;
     Alcotest.test_case "obs: N-domain hammer merges exactly" `Quick
       test_obs_hammer;
     Alcotest.test_case "sim: parallel counters bit-identical" `Quick
