@@ -20,6 +20,10 @@ type compiled = {
   tsrcs : (Grid.t * (int -> int array -> int)) array;
       (** tape sources in register order (= [creads] order) *)
   tdatas : float array array;  (** [tsrcs] data arrays (read-only share) *)
+  caccs : Stencil.access list;  (** distinct reads, in [tsrcs] order *)
+  skeys : (int -> int) array;
+      (** per [tsrcs] entry: tstep -> block-store key of the read *)
+  swkey : int -> int;  (** tstep -> block-store key of the write *)
 }
 
 type ctx = {
@@ -141,6 +145,22 @@ let tape_cache :
     =
   Hextile_par.Oncemap.create ~bits:8 ~name:"schemes.tape" ()
 
+(* Block-store keys number the (array, slot) pairs in declaration order:
+   an array's slots follow the slots of every array declared before it. *)
+let store_key (prog : Stencil.t) aname =
+  let rec go base = function
+    | [] -> invalid_arg ("Common.store_key: unknown array " ^ aname)
+    | (d : Stencil.array_decl) :: rest ->
+        if String.equal d.aname aname then base
+        else go (base + Option.value d.fold ~default:1) rest
+  in
+  go 0 prog.arrays
+
+let access_key (ctx : ctx) (a : Stencil.access) =
+  let g = Grid.find ctx.grids a.array in
+  let base = store_key ctx.prog a.array in
+  fun tstep -> base + Grid.slot g (tstep + a.time_off)
+
 let compile_stmt (ctx : ctx) (s : Stencil.stmt) =
   match Hashtbl.find_opt ctx.compiled s.sname with
   | Some c -> c
@@ -169,12 +189,13 @@ let compile_stmt (ctx : ctx) (s : Stencil.stmt) =
         !r
       in
       let wg = Grid.find ctx.grids s.write.array in
+      let caccs = Stencil.distinct_reads s in
       let tsrcs =
         Array.of_list
           (List.map
              (fun (a : Stencil.access) ->
                (Grid.find ctx.grids a.array, access_flat ctx.grids a))
-             (Stencil.distinct_reads s))
+             caccs)
       in
       let tp =
         Hextile_par.Oncemap.find_or_compute tape_cache
@@ -193,6 +214,9 @@ let compile_stmt (ctx : ctx) (s : Stencil.stmt) =
           tplan = Option.map snd tp;
           tsrcs;
           tdatas = Array.map (fun ((g : Grid.t), _) -> g.data) tsrcs;
+          caccs;
+          skeys = Array.of_list (List.map (access_key ctx) caccs);
+          swkey = access_key ctx s.write;
         }
       in
       Hashtbl.replace ctx.compiled s.sname c;
@@ -337,6 +361,11 @@ module Layout = struct
 
   let words t = t.next
   let iter t ~f = Hashtbl.iter (fun (array, slot) (box, _) -> f ~array ~slot box) t.entries
+
+  let access_addr t (ctx : ctx) ~tstep (a : Stencil.access) ~point =
+    let g = Grid.find ctx.grids a.array in
+    addr t ~array:a.array ~slot:(Grid.slot g (tstep + a.time_off))
+      (Array.mapi (fun d o -> point.(d) + o) a.offsets)
 end
 
 let warp_size = 32
@@ -407,23 +436,25 @@ let get_scratch words =
    word bases [src_flats] (tape register order) writing from flat word
    [wflat]. Shared by the live tape path and [Sim.replay_stream]'s
    [Compute] events (the replay translates the recorded bases first). *)
+let run_tape (tape : Tape.t) ~datas ~bases ~n ~out ~out_base =
+  let regs = get_scratch (tape.nregs * Tape.lanes) in
+  let i = ref 0 in
+  while !i < n do
+    let nl = min Tape.lanes (n - !i) in
+    Tape.exec tape regs ~datas ~bases ~dx:!i ~n:nl ~out ~out_base:(out_base + !i);
+    i := !i + nl
+  done;
+  Obs.incr
+    ~by:(Tape.length tape * ((n + Tape.lanes - 1) / Tape.lanes))
+    "sim.tape_instrs"
+
 let exec_tape_row ctx ~stmt_idx ~wflat ~src_flats ~n =
   let c = compile_stmt ctx ctx.stmts.(stmt_idx) in
   match c.tape with
   | None -> invalid_arg "Common.exec_tape_row: statement has no tape"
   | Some tape ->
-      let regs = get_scratch (tape.nregs * Tape.lanes) in
-      let out = c.cwgrid.data in
-      let i = ref 0 in
-      while !i < n do
-        let nl = min Tape.lanes (n - !i) in
-        Tape.exec tape regs ~datas:c.tdatas ~bases:src_flats ~dx:!i ~n:nl ~out
-          ~out_base:(wflat + !i);
-        i := !i + nl
-      done;
-      Obs.incr
-        ~by:(Tape.length tape * ((n + Tape.lanes - 1) / Tape.lanes))
-        "sim.tape_instrs";
+      run_tape tape ~datas:c.tdatas ~bases:src_flats ~n ~out:c.cwgrid.data
+        ~out_base:wflat;
       ignore (Atomic.fetch_and_add ctx.updates n)
 
 (* Pre-resolved compute rows for the analytic mode's scaled blocks: the
@@ -588,197 +619,6 @@ let exec_rows (ctx : ctx) { crows; cregs; cpoints; cinstrs; cblit } ~off =
 let rows_stats { crows; cblit; _ } =
   (Array.length crows, Array.fold_left (fun a r -> a + r.cmerged) 0 crows, cblit)
 
-let exec_stmt_row ctx ~stmt ~tstep ~point ~xs ?read_value ?write_value
-    ?(count = true) ?loads_subset ~global_reads ~shared_replay
-    ~interleave_store ~use_shared ~shared_addr () =
-  let s : Stencil.stmt = stmt in
-  let n = Array.length xs in
-  if n > 0 then begin
-    let xdim = ctx.dims - 1 in
-    let x0 = xs.(0) in
-    let reads =
-      match loads_subset with
-      | Some l -> l
-      | None -> Stencil.distinct_reads s
-    in
-    let nflops = Stencil.flops s in
-    let c = compile_stmt ctx s in
-    point.(xdim) <- x0;
-    (* Per-row base addresses; lanes advance with stride 1 along x (the
-       innermost storage dimension). *)
-    let read_bases =
-      if global_reads then
-        let flats =
-          match loads_subset with
-          | None -> c.creads
-          | Some l ->
-              List.map
-                (fun (a : Stencil.access) ->
-                  (Grid.find ctx.grids a.array, access_flat ctx.grids a))
-                l
-        in
-        List.map
-          (fun (g, fl) -> Addrmap.base ctx.sim.addr g + (4 * fl tstep point))
-          flats
-      else List.map (fun (r : Stencil.access) -> shared_addr r ~point) reads
-    in
-    let wbase_global =
-      if interleave_store || not use_shared then
-        Addrmap.base ctx.sim.addr c.cwgrid + (4 * c.cwflat tstep point)
-      else 0
-    and wbase_shared = if use_shared then shared_addr s.write ~point else 0 in
-    (* The tape engine needs contiguous lanes (all executors pass
-       contiguous xs; the check makes the fallback airtight) and cannot
-       carry the sanitizer's per-lane thread identities. *)
-    let batched =
-      ctx.engine = Tape
-      && (not (Sanitize.enabled ()))
-      && xs.(n - 1) - x0 = n - 1
-    in
-    if not batched then
-      chunks_of xs (fun lane_xs ->
-          let nlanes = Array.length lane_xs in
-          let dx0 = lane_xs.(0) - x0 in
-          let tids = lane_tids point lane_xs in
-          (* loads *)
-          if global_reads then
-            List.iter
-              (fun base ->
-                Sim.global_load_warp ctx.sim
-                  (Array.init nlanes (fun i -> Some (base + (4 * (dx0 + i))))))
-              read_bases
-          else
-            List.iter
-              (fun base ->
-                Sim.shared_load_warp ~replay:shared_replay ?tids ctx.sim
-                  (Array.init nlanes (fun i -> Some (base + dx0 + i))))
-              read_bases;
-          (* arithmetic *)
-          Sim.flops_warp ctx.sim ~active:nlanes ~per_lane:nflops;
-          (* store accounting *)
-          if use_shared then
-            Sim.shared_store_warp ~replay:shared_replay ?tids ctx.sim
-              (Array.init nlanes (fun i -> Some (wbase_shared + dx0 + i)));
-          if interleave_store || not use_shared then
-            Sim.global_store_warp ctx.sim
-              (Array.init nlanes (fun i -> Some (wbase_global + (4 * (dx0 + i)))));
-          (* functional execution *)
-          (match (read_value, write_value) with
-          | None, None ->
-              (* fast path: compiled evaluator, direct grid write *)
-              Array.iter
-                (fun x ->
-                  point.(xdim) <- x;
-                  c.cwgrid.data.(c.cwflat tstep point) <- c.ceval tstep point)
-                lane_xs
-          | _ ->
-              let read =
-                match read_value with
-                | Some rv -> fun a p -> rv a ~point:p
-                | None -> fun a p -> Grid.read_access ctx.grids a ~t:tstep ~point:p
-              in
-              Array.iter
-                (fun x ->
-                  point.(xdim) <- x;
-                  let v = Interp.eval_with ~read s.rhs ~point in
-                  match write_value with
-                  | Some w -> w ~point v
-                  | None -> Grid.write_access ctx.grids s.write ~t:tstep ~point v)
-                lane_xs);
-          if count then ignore (Atomic.fetch_and_add ctx.updates nlanes))
-    else begin
-      (* Batched accounting: one event per warp chunk, same event
-         sequence (and counters) as the per-lane path above. *)
-      let i = ref 0 in
-      while !i < n do
-        let nl = min warp_size (n - !i) in
-        let dx0 = !i in
-        if global_reads then
-          List.iter
-            (fun base ->
-              Sim.global_load_run ctx.sim ~addr:(base + (4 * dx0)) ~n:nl)
-            read_bases
-        else
-          List.iter
-            (fun _base -> Sim.shared_load_run ~replay:shared_replay ctx.sim ~n:nl)
-            read_bases;
-        Sim.flops_warp ctx.sim ~active:nl ~per_lane:nflops;
-        if use_shared then
-          Sim.shared_store_run ~replay:shared_replay ctx.sim ~n:nl;
-        if interleave_store || not use_shared then
-          Sim.global_store_run ctx.sim ~addr:(wbase_global + (4 * dx0)) ~n:nl;
-        i := !i + nl
-      done;
-      (* Functional execution. *)
-      (match (read_value, write_value, c.tape) with
-      | None, None, Some tape ->
-          let xlast = xs.(n - 1) in
-          let nsrc = Array.length c.tsrcs in
-          let bases = Array.make nsrc 0 in
-          (* Resolve per-source word bases at x0 and validate the other
-             endpoint: x is the innermost storage dimension (stride 1),
-             so per-dimension validity at both row endpoints covers the
-             whole contiguous lane range. *)
-          for k = 0 to nsrc - 1 do
-            let _, fl = c.tsrcs.(k) in
-            point.(xdim) <- x0;
-            bases.(k) <- fl tstep point;
-            point.(xdim) <- xlast;
-            ignore (fl tstep point)
-          done;
-          point.(xdim) <- x0;
-          let wflat = c.cwflat tstep point in
-          point.(xdim) <- xlast;
-          ignore (c.cwflat tstep point);
-          point.(xdim) <- x0;
-          let regs = get_scratch (tape.nregs * Tape.lanes) in
-          let out = c.cwgrid.data in
-          let i = ref 0 in
-          while !i < n do
-            let nl = min Tape.lanes (n - !i) in
-            Tape.exec tape regs ~datas:c.tdatas ~bases ~dx:!i ~n:nl ~out
-              ~out_base:(wflat + !i);
-            i := !i + nl
-          done;
-          Obs.incr
-            ~by:(Tape.length tape * ((n + Tape.lanes - 1) / Tape.lanes))
-            "sim.tape_instrs";
-          if Sim.recording_active ctx.sim then begin
-            let srcs =
-              Array.init nsrc (fun k ->
-                  Addrmap.base ctx.sim.addr (fst c.tsrcs.(k)) + (4 * bases.(k)))
-            in
-            Sim.record_compute ctx.sim ~stmt:c.cidx ~tstep
-              ~waddr:(Addrmap.base ctx.sim.addr c.cwgrid + (4 * wflat))
-              ~srcs ~n
-          end
-      | _ ->
-          (* aliasing hazard or value overrides: the per-lane interleaved
-             read/write order is semantically significant, and a recorded
-             stream could not replay it *)
-          Sim.record_invalidate ctx.sim;
-          let read =
-            match read_value with
-            | Some rv -> fun a p -> rv a ~point:p
-            | None -> fun a p -> Grid.read_access ctx.grids a ~t:tstep ~point:p
-          in
-          let eval_default = read_value = None && write_value = None in
-          Array.iter
-            (fun x ->
-              point.(xdim) <- x;
-              if eval_default then
-                c.cwgrid.data.(c.cwflat tstep point) <- c.ceval tstep point
-              else begin
-                let v = Interp.eval_with ~read s.rhs ~point in
-                match write_value with
-                | Some w -> w ~point v
-                | None -> Grid.write_access ctx.grids s.write ~t:tstep ~point v
-              end)
-            xs);
-      if count then ignore (Atomic.fetch_and_add ctx.updates n)
-    end
-  end
-
 let batched_engine ctx = ctx.engine = Tape && not (Sanitize.enabled ())
 
 let strictly_ascending a =
@@ -825,6 +665,12 @@ let load_box_rows ctx ~grid ~slot ~box ~skip_x ~shared_addr =
               Sim.shared_store_warp ?tids ctx.sim
                 (Array.map (fun x -> Some (sbase + x - xlo)) lane_xs))
       end)
+
+let load_layout ctx lay =
+  Layout.iter lay ~f:(fun ~array ~slot box ->
+      load_box_rows ctx ~grid:(Grid.find ctx.grids array) ~slot ~box
+        ~skip_x:(fun _ -> None)
+        ~shared_addr:(fun p -> Layout.addr lay ~array ~slot p))
 
 let shared_copy_rows ctx ~box ~shared_addr =
   let batched = batched_engine ctx in
@@ -873,4 +719,332 @@ let snapshot (ctx : ctx) =
   Hashtbl.iter (fun name (g : Grid.t) -> Hashtbl.replace tbl name (Array.copy g.data)) ctx.grids;
   tbl
 
-let snapshot_read snap (g : Grid.t) idx = (Hashtbl.find snap g.decl.aname).(idx)
+(* Block-local store: what a block of an overlapped scheme sees — the
+   launch snapshot overlaid with its own writes — as one dense row-major
+   box per (array, slot), the functional counterpart of the shared-memory
+   copy-in the executors account. Boxes and their written-cell marks live
+   in per-domain buffers that are sized to the largest box seen and
+   reused across blocks, launches and runs. *)
+module Store = struct
+  type sbox = {
+    mutable area : box option;  (** [None] until touched by the block *)
+    mutable data : float array;  (** row-major over [area]; capacity >= its cells *)
+    mutable mark : Bytes.t;  (** nonzero = written by the block *)
+  }
+
+  type t = { mutable boxes : sbox array; mutable write_through : bool }
+
+  let domain_store = Domain.DLS.new_key (fun () -> { boxes = [||]; write_through = false })
+  let slots (d : Stencil.array_decl) = Option.value d.fold ~default:1
+
+  let begin_block ?(write_through = false) (ctx : ctx) =
+    let st = Domain.DLS.get domain_store in
+    let n = List.fold_left (fun n d -> n + slots d) 0 ctx.prog.arrays in
+    if Array.length st.boxes < n then
+      st.boxes <- Array.init n (fun _ -> { area = None; data = [||]; mark = Bytes.empty });
+    Array.iter (fun b -> b.area <- None) st.boxes;
+    st.write_through <- write_through;
+    st
+
+  let touch st (ctx : ctx) ~(stmt : Stencil.stmt) ~tstep (region : box) =
+    List.iter
+      (fun (a : Stencil.access) ->
+        (* the region shifted by the access's offsets, clipped to the grid *)
+        let g = Grid.find ctx.grids a.array in
+        let gbase = Array.length g.dims - ctx.dims in
+        let r =
+          {
+            blo = Array.mapi (fun d l -> max 0 (l + a.offsets.(d))) region.blo;
+            bhi = Array.mapi (fun d h -> min (g.dims.(gbase + d) - 1) (h + a.offsets.(d))) region.bhi;
+          }
+        in
+        if not (box_is_empty r) then begin
+          let b = st.boxes.(store_key ctx.prog a.array + Grid.slot g (tstep + a.time_off)) in
+          b.area <-
+            Some
+              (match b.area with
+              | None -> r
+              | Some o -> { blo = Array.map2 min o.blo r.blo; bhi = Array.map2 max o.bhi r.bhi })
+        end)
+      (stmt.write :: Stencil.reads stmt)
+
+  (* [f d g b goff boff len] for every x-row of every touched box [b]
+     (of array [d], grid [g]) clipped to [within], arrays in declaration
+     order and each array's slots ascending — so rows come in ascending
+     grid order per array. The row starts at word [goff] of the grid and
+     word [boff] of [b]. *)
+  let iter_rows ?within st (ctx : ctx) f =
+    ignore
+      (List.fold_left
+         (fun k (d : Stencil.array_decl) ->
+           let g = Grid.find ctx.grids d.aname in
+           let gbase = Array.length g.dims - ctx.dims in
+           for slot = 0 to slots d - 1 do
+             let b = st.boxes.(k + slot) in
+             Option.iter
+               (fun area ->
+                 let r = match within with Some w -> box_inter area w | None -> area in
+                 let rec go dim goff boff =
+                   let gext = g.dims.(gbase + dim) and bext = area.bhi.(dim) - area.blo.(dim) + 1 in
+                   let boff x = (boff * bext) + x - area.blo.(dim) in
+                   if dim = ctx.dims - 1 then
+                     f d g b ((goff * gext) + r.blo.(dim)) (boff r.blo.(dim))
+                       (r.bhi.(dim) - r.blo.(dim) + 1)
+                   else
+                     for x = r.blo.(dim) to r.bhi.(dim) do
+                       go (dim + 1) ((goff * gext) + x) (boff x)
+                     done
+                 in
+                 if not (box_is_empty r) then go 0 (if gbase > 0 then slot else 0) 0)
+               b.area
+           done;
+           k + slots d)
+         0 ctx.prog.arrays)
+
+  let fill st ctx ~snap =
+    Array.iter
+      (fun b ->
+        Option.iter
+          (fun area ->
+            let n = box_count area in
+            if Array.length b.data < n then begin
+              b.data <- Array.make n 0.0;
+              b.mark <- Bytes.create n
+            end;
+            Bytes.fill b.mark 0 n '\000')
+          b.area)
+      st.boxes;
+    iter_rows st ctx (fun d _ b goff boff len ->
+        Array.blit (Hashtbl.find snap d.aname) goff b.data boff len)
+
+  let copy_out st (ctx : ctx) ~within =
+    let cur = ref None and cells = ref [] in
+    let flush () =
+      Option.iter
+        (fun g -> store_cells ctx ~grid:g ~cells:(List.rev !cells) ~via_shared:true)
+        !cur;
+      cells := []
+    in
+    iter_rows ~within st ctx (fun _ g b goff boff len ->
+        (match !cur with
+        | Some g' when g' == g -> ()
+        | _ ->
+            if !cells <> [] then flush ();
+            cur := Some g);
+        for i = 0 to len - 1 do
+          if Bytes.get b.mark (boff + i) <> '\000' then begin
+            g.data.(goff + i) <- b.data.(boff + i);
+            cells := (goff + i) :: !cells
+          end
+        done);
+    if !cells <> [] then flush ()
+
+  let[@inline never] outside aname =
+    invalid_arg (Fmt.str "Common.Store: access to %s outside the block's box" aname)
+
+  (* Word offset in [b] of access [a] on [point]'s row at x = [x0], with
+     both row endpoints [x0 <= x1] validated against the box (which lies
+     inside the grid, so this bounds-checks the grid access too). *)
+  let row_offset b (a : Stencil.access) point ~x0 ~x1 =
+    match b.area with
+    | None -> outside a.array
+    | Some { blo; bhi } ->
+        let xd = Array.length point - 1 in
+        let off = ref 0 in
+        for d = 0 to xd do
+          let c = (if d = xd then x0 else point.(d)) + a.offsets.(d) in
+          let c1 = if d = xd then x1 + a.offsets.(d) else c in
+          if c < blo.(d) || c1 > bhi.(d) then outside a.array;
+          off := (!off * (bhi.(d) - blo.(d) + 1)) + c - blo.(d)
+        done;
+        !off
+
+  (* One lane at [point], in the per-lane interleaved read/write order. *)
+  let exec_lane st (ctx : ctx) c (s : Stencil.stmt) ~tstep point =
+    let x = point.(ctx.dims - 1) in
+    let read (a : Stencil.access) p =
+      let g = Grid.find ctx.grids a.array in
+      let b = st.boxes.(store_key ctx.prog a.array + Grid.slot g (tstep + a.time_off)) in
+      b.data.(row_offset b a p ~x0:x ~x1:x)
+    in
+    let v = Interp.eval_with ~read s.rhs ~point in
+    let b = st.boxes.(c.swkey tstep) in
+    let o = row_offset b s.write point ~x0:x ~x1:x in
+    b.data.(o) <- v;
+    Bytes.set b.mark o '\001';
+    if st.write_through then c.cwgrid.data.(c.cwflat tstep point) <- v
+
+  (* A whole contiguous row through the statement's tape, sources and
+     result addressed box-relative in the store's buffers. *)
+  let exec_tape_row st (ctx : ctx) c tape (s : Stencil.stmt) ~tstep point ~x0 ~x1 =
+    let n = x1 - x0 + 1 in
+    let nsrc = Array.length c.skeys in
+    let datas = Array.make nsrc [||] and bases = Array.make nsrc 0 in
+    List.iteri
+      (fun k a ->
+        let b = st.boxes.(c.skeys.(k) tstep) in
+        bases.(k) <- row_offset b a point ~x0 ~x1;
+        datas.(k) <- b.data)
+      c.caccs;
+    let wb = st.boxes.(c.swkey tstep) in
+    let wbase = row_offset wb s.write point ~x0 ~x1 in
+    run_tape tape ~datas ~bases ~n ~out:wb.data ~out_base:wbase;
+    Bytes.fill wb.mark wbase n '\001';
+    if st.write_through then begin
+      point.(ctx.dims - 1) <- x0;
+      Array.blit wb.data wbase c.cwgrid.data (c.cwflat tstep point) n
+    end
+end
+
+let exec_stmt_row ctx ~stmt ~tstep ~point ~xs ?store ?(count = true)
+    ?loads_subset ~global_reads ~shared_replay ~interleave_store ~use_shared
+    ~shared_addr () =
+  let s : Stencil.stmt = stmt in
+  let n = Array.length xs in
+  if n > 0 then begin
+    let xdim = ctx.dims - 1 in
+    let x0 = xs.(0) in
+    let c = compile_stmt ctx s in
+    let reads = match loads_subset with Some l -> l | None -> c.caccs in
+    let nflops = Stencil.flops s in
+    point.(xdim) <- x0;
+    (* The tape engine needs contiguous lanes (all executors pass
+       contiguous xs; the check makes the fallback airtight) and cannot
+       carry the sanitizer's per-lane thread identities. *)
+    let batched =
+      ctx.engine = Tape
+      && (not (Sanitize.enabled ()))
+      && xs.(n - 1) - x0 = n - 1
+    in
+    (* Per-row base addresses; lanes advance with stride 1 along x (the
+       innermost storage dimension). Batched shared accesses are
+       accounted without addresses. *)
+    let read_bases =
+      if global_reads then
+        let flats =
+          match loads_subset with
+          | None -> c.creads
+          | Some l ->
+              List.map
+                (fun (a : Stencil.access) ->
+                  (Grid.find ctx.grids a.array, access_flat ctx.grids a))
+                l
+        in
+        List.map
+          (fun (g, fl) -> Addrmap.base ctx.sim.addr g + (4 * fl tstep point))
+          flats
+      else if batched then []
+      else List.map (fun (r : Stencil.access) -> shared_addr r ~point) reads
+    in
+    let wbase_global =
+      if interleave_store || not use_shared then
+        Addrmap.base ctx.sim.addr c.cwgrid + (4 * c.cwflat tstep point)
+      else 0
+    and wbase_shared =
+      if use_shared && not batched then shared_addr s.write ~point else 0
+    in
+    (* Functional execution of one lane, in the per-lane interleaved
+       read/write order: against the grids through the compiled
+       evaluator, or against the block store. *)
+    let lane =
+      match store with
+      | None ->
+          fun x ->
+            point.(xdim) <- x;
+            c.cwgrid.data.(c.cwflat tstep point) <- c.ceval tstep point
+      | Some st ->
+          fun x ->
+            point.(xdim) <- x;
+            Store.exec_lane st ctx c s ~tstep point
+    in
+    if not batched then
+      chunks_of xs (fun lane_xs ->
+          let nlanes = Array.length lane_xs in
+          let dx0 = lane_xs.(0) - x0 in
+          let tids = lane_tids point lane_xs in
+          (* loads *)
+          if global_reads then
+            List.iter
+              (fun base ->
+                Sim.global_load_warp ctx.sim
+                  (Array.init nlanes (fun i -> Some (base + (4 * (dx0 + i))))))
+              read_bases
+          else
+            List.iter
+              (fun base ->
+                Sim.shared_load_warp ~replay:shared_replay ?tids ctx.sim
+                  (Array.init nlanes (fun i -> Some (base + dx0 + i))))
+              read_bases;
+          (* arithmetic *)
+          Sim.flops_warp ctx.sim ~active:nlanes ~per_lane:nflops;
+          (* store accounting *)
+          if use_shared then
+            Sim.shared_store_warp ~replay:shared_replay ?tids ctx.sim
+              (Array.init nlanes (fun i -> Some (wbase_shared + dx0 + i)));
+          if interleave_store || not use_shared then
+            Sim.global_store_warp ctx.sim
+              (Array.init nlanes (fun i -> Some (wbase_global + (4 * (dx0 + i)))));
+          Array.iter lane lane_xs;
+          if count then ignore (Atomic.fetch_and_add ctx.updates nlanes))
+    else begin
+      (* Batched accounting: one event per warp chunk, same event
+         sequence (and counters) as the per-lane path above. *)
+      let i = ref 0 in
+      while !i < n do
+        let nl = min warp_size (n - !i) in
+        let dx0 = !i in
+        if global_reads then
+          List.iter
+            (fun base ->
+              Sim.global_load_run ctx.sim ~addr:(base + (4 * dx0)) ~n:nl)
+            read_bases
+        else
+          List.iter
+            (fun _ -> Sim.shared_load_run ~replay:shared_replay ctx.sim ~n:nl)
+            reads;
+        Sim.flops_warp ctx.sim ~active:nl ~per_lane:nflops;
+        if use_shared then
+          Sim.shared_store_run ~replay:shared_replay ctx.sim ~n:nl;
+        if interleave_store || not use_shared then
+          Sim.global_store_run ctx.sim ~addr:(wbase_global + (4 * dx0)) ~n:nl;
+        i := !i + nl
+      done;
+      (* Functional execution. *)
+      (match (store, c.tape) with
+      | None, Some tape ->
+          (* Word bases at x0, validating the other endpoint too: x is
+             the innermost storage dimension (stride 1), so
+             per-dimension validity at both row endpoints covers the
+             whole contiguous lane range. *)
+          let at_x0 fl =
+            point.(xdim) <- xs.(n - 1);
+            ignore (fl tstep point);
+            point.(xdim) <- x0;
+            fl tstep point
+          in
+          let bases = Array.map (fun (_, fl) -> at_x0 fl) c.tsrcs in
+          let wflat = at_x0 c.cwflat in
+          run_tape tape ~datas:c.tdatas ~bases ~n ~out:c.cwgrid.data ~out_base:wflat;
+          if Sim.recording_active ctx.sim then begin
+            let srcs =
+              Array.init (Array.length bases) (fun k ->
+                  Addrmap.base ctx.sim.addr (fst c.tsrcs.(k)) + (4 * bases.(k)))
+            in
+            Sim.record_compute ctx.sim ~stmt:c.cidx ~tstep
+              ~waddr:(Addrmap.base ctx.sim.addr c.cwgrid + (4 * wflat))
+              ~srcs ~n
+          end
+      | Some st, Some tape ->
+          (* store rows have no grid addresses a recorded stream could
+             replay *)
+          Sim.record_invalidate ctx.sim;
+          Store.exec_tape_row st ctx c tape s ~tstep point ~x0 ~x1:xs.(n - 1)
+      | _, None ->
+          (* aliasing hazard: the per-lane interleaved read/write order
+             is semantically significant, and a recorded stream could not
+             replay it *)
+          Sim.record_invalidate ctx.sim;
+          Array.iter lane xs);
+      if count then ignore (Atomic.fetch_and_add ctx.updates n)
+    end
+  end

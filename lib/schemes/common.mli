@@ -117,6 +117,50 @@ module Layout : sig
 
   val words : t -> int
   val iter : t -> f:(array:string -> slot:int -> box -> unit) -> unit
+
+  val access_addr :
+    t -> ctx -> tstep:int -> Stencil.access -> point:int array -> int
+  (** Word address of an access at [tstep] from instance [point]: the
+      [shared_addr] of {!exec_stmt_row}. *)
+end
+
+(** {2 Block-local store} *)
+
+val snapshot : ctx -> (string, float array) Hashtbl.t
+(** Copies of every grid's data, by array name: the pre-launch state the
+    blocks of an overlapped launch read. *)
+
+module Store : sig
+  (** What one block of an overlapped scheme sees: the launch snapshot
+      overlaid with the block's own writes, held as one dense row-major
+      box per (array, slot) the block touches plus a written-cell mark —
+      the functional counterpart of the shared-memory copy-in the
+      executors account. Buffers are per domain, sized to the largest box
+      seen and reused across blocks, launches and runs, so a block
+      allocates nothing proportional to its volume. *)
+
+  type t
+
+  val begin_block : ?write_through:bool -> ctx -> t
+  (** The calling domain's store, emptied for a new block. With
+      [write_through] (default false) every write also goes to the
+      context grids. *)
+
+  val touch : t -> ctx -> stmt:Stencil.stmt -> tstep:int -> box -> unit
+  (** Grow the boxes to cover every access of [stmt]'s instances at
+      [tstep] over the region (write and reads, shifted by their
+      offsets, clipped to the grid). Call for every region the block
+      computes before {!fill}; {!exec_stmt_row} rejects accesses outside
+      the boxes. *)
+
+  val fill : t -> ctx -> snap:(string, float array) Hashtbl.t -> unit
+  (** Load every touched box from the snapshot and clear its marks. *)
+
+  val copy_out : t -> ctx -> within:box -> unit
+  (** Write every cell the block wrote inside [within] back to the
+      context grids and account the stores ({!store_cells}, via shared
+      memory): arrays in declaration order, each array's cells in
+      ascending flat order across its slots. *)
 end
 
 (** {2 Warp-level phases} *)
@@ -127,8 +171,7 @@ val exec_stmt_row :
   tstep:int ->
   point:int array ->
   xs:int array ->
-  ?read_value:(Stencil.access -> point:int array -> float) ->
-  ?write_value:(point:int array -> float -> unit) ->
+  ?store:Store.t ->
   ?count:bool ->
   ?loads_subset:Stencil.access list ->
   global_reads:bool ->
@@ -143,11 +186,11 @@ val exec_stmt_row :
     chunked into warps: account one load per distinct read (global or
     shared per [global_reads]), the statement's flops, and the store
     (shared when [use_shared], plus global when [interleave_store] or no
-    shared memory is used); then perform the functional update.
-    [read_value] overrides where read values come from (letting
-    overlapped tiling read from snapshots) — when omitted a compiled
-    fast path reading the context grids directly is used; [write_value]
-    overrides the default write-through to the context grids; [count]
+    shared memory is used); then perform the functional update. Without
+    [store] the update reads and writes the context grids; with it, it
+    reads and writes the block store (box-relative tape rows on the
+    [Tape] engine, lane by lane on [Ref], under the sanitizer and for
+    aliasing statements); [count]
     (default true) controls whether the instances count toward
     [ctx.updates]; [loads_subset] restricts which reads are *accounted*
     as loads (register tiling keeps the rest in registers across the
@@ -164,6 +207,9 @@ val load_box_rows :
 (** Copy-in phase: global loads + shared stores over all rows of [box]
     (x = innermost dim varies). [skip_x row] gives an x-interval already
     present in shared memory (reuse) to exclude. Pure accounting. *)
+
+val load_layout : ctx -> Layout.t -> unit
+(** {!load_box_rows} over every box of a layout, without reuse. *)
 
 val shared_copy_rows : ctx -> box:box -> shared_addr:(int array -> int) -> unit
 (** Dynamic-reuse phase: shared-to-shared movement of a region. *)
@@ -220,5 +266,3 @@ val rows_stats : crows -> int * int * int
 (** [(runs, recorded_rows, blit_rows)] of a compiled class — run-shape
     introspection for tests. *)
 
-val snapshot : ctx -> (string, float array) Hashtbl.t
-val snapshot_read : (string, float array) Hashtbl.t -> Grid.t -> int -> float

@@ -398,11 +398,7 @@ let run ?pool ?engine ?(analytic = false) ?(name = "hybrid") ?config prog env de
           ?loads_subset:(loads_subset_of stmt)
           ~global_reads:(not strat.use_shared) ~shared_replay:replay
           ~interleave_store:strat.interleave ~use_shared:strat.use_shared
-          ~shared_addr:(fun (a : Stencil.access) ~point ->
-            let g = Grid.find ctx.grids a.array in
-            let slot = Grid.slot g (tstep + a.time_off) in
-            let p = Array.mapi (fun d o -> point.(d) + o) a.offsets in
-            Common.Layout.addr lay ~array:a.array ~slot p)
+          ~shared_addr:(Common.Layout.access_addr lay ctx ~tstep)
           ();
         (* remember written cells for the copy-out phase *)
         if strat.use_shared && not strat.interleave then begin

@@ -33,7 +33,9 @@ let dilate (region : Common.box) ~by ~lo ~hi =
   }
 
 (* (array, slot) pairs that must be preloaded: read before written, at
-   slot granularity (exact for shrinking trapezoids). *)
+   slot granularity (exact for shrinking trapezoids). Listed in
+   declaration order, slots ascending, so the copy-in's load order (and
+   with it the L2/DRAM counters) never depends on array names. *)
 let needed_slots (ctx : Common.ctx) ~tt0 ~hh_eff =
   let needed = Hashtbl.create 8 and written = Hashtbl.create 8 in
   for j = 0 to hh_eff - 1 do
@@ -50,7 +52,12 @@ let needed_slots (ctx : Common.ctx) ~tt0 ~hh_eff =
         Hashtbl.replace written (s.write.array, Grid.slot g (t + s.write.time_off)) ())
       ctx.stmts
   done;
-  needed
+  List.concat_map
+    (fun (d : Stencil.array_decl) ->
+      List.filter_map
+        (fun slot -> if Hashtbl.mem needed (d.aname, slot) then Some (d.aname, slot) else None)
+        (Intutil.range 0 (Option.value d.fold ~default:1 - 1)))
+    ctx.prog.arrays
 
 let run ?pool ?engine ?config prog env dev =
   let ctx = Common.make_ctx ?engine prog env dev in
@@ -105,22 +112,13 @@ let run ?pool ?engine ?config prog env dev =
           }
         in
         if not (Common.box_is_empty out) then begin
-          (* local values written by this block *)
-          let local : (string * int * int list, float) Hashtbl.t = Hashtbl.create 512 in
-          let cell (a : Stencil.access) ~t ~point =
-            let g = Grid.find ctx.grids a.array in
-            ( a.array,
-              Grid.slot g (t + a.time_off),
-              Array.to_list (Array.mapi (fun d o -> point.(d) + o) a.offsets) )
-          in
           (* copy-in: one shared box per accessed (array, slot) *)
           let copy_by = Array.mapi (fun d r -> r + rad.(d)) (reach (ctx.k * (hh_eff - 1))) in
           let inbox (arr : string) =
             let g = Grid.find ctx.grids arr in
-            let spatial_dims = ctx.dims in
-            let ext d = g.dims.(Array.length g.dims - spatial_dims + d) in
+            let gbase = Array.length g.dims - ctx.dims in
             dilate out ~by:copy_by ~lo:(Array.make ctx.dims 0)
-              ~hi:(Array.init ctx.dims (fun d -> ext d - 1))
+              ~hi:(Array.init ctx.dims (fun d -> g.dims.(gbase + d) - 1))
           in
           let lay = Common.Layout.create () in
           let alloc_box (arr, slot) aname =
@@ -138,8 +136,8 @@ let run ?pool ?engine ?config prog env dev =
                   done)
                 (s.write :: Stencil.reads s))
             ctx.prog.stmts;
-          Hashtbl.iter
-            (fun (arr, slot) () ->
+          List.iter
+            (fun (arr, slot) ->
               match Common.Layout.find lay ~array:arr ~slot with
               | None -> ()
               | Some box ->
@@ -148,90 +146,43 @@ let run ?pool ?engine ?config prog env dev =
                     ~shared_addr:(fun p -> Common.Layout.addr lay ~array:arr ~slot p))
             needed;
           Sim.sync ctx.sim;
+          (* the shrinking trapezoid: statement [si]'s region at step [j] *)
+          let regions =
+            Array.init hh_eff (fun j ->
+                Array.init ctx.k (fun si ->
+                    let units = (ctx.k * (hh_eff - 1 - j)) + (ctx.k - 1 - si) in
+                    dilate out ~by:(reach units) ~lo:ctx.lo.(si) ~hi:ctx.hi.(si)))
+          in
+          (* functional copy-in: the block's values, snapshot first *)
+          let store = Common.Store.begin_block ctx in
+          Array.iteri
+            (fun j -> Array.iteri (fun si -> Common.Store.touch store ctx ~stmt:ctx.stmts.(si) ~tstep:(tt0v + j)))
+            regions;
+          Common.Store.fill store ctx ~snap;
           (* redundant compute over the shrinking trapezoid *)
           for j = 0 to hh_eff - 1 do
             let t = tt0v + j in
             Array.iteri
               (fun si stmt ->
-                let units = (ctx.k * (hh_eff - 1 - j)) + (ctx.k - 1 - si) in
-                let region =
-                  dilate out ~by:(reach units) ~lo:ctx.lo.(si) ~hi:ctx.hi.(si)
-                in
-                (* also clip the out-region to the statement domain *)
-                let region =
-                  Common.box_inter region
-                    { Common.blo = ctx.lo.(si); bhi = ctx.hi.(si) }
-                in
-                if not (Common.box_is_empty region) then
+                let region = regions.(j).(si) in
+                if not (Common.box_is_empty region) then begin
+                  let xdim = ctx.dims - 1 in
+                  let xs =
+                    Array.init
+                      (region.bhi.(xdim) - region.blo.(xdim) + 1)
+                      (fun i -> region.blo.(xdim) + i)
+                  in
+                  let shared_addr = Common.Layout.access_addr lay ctx ~tstep:t in
                   Common.iter_box_rows region ~f:(fun point ->
-                      let xdim = ctx.dims - 1 in
-                      let xs =
-                        Array.of_list (Intutil.range region.blo.(xdim) region.bhi.(xdim))
-                      in
-                      Common.exec_stmt_row ctx ~stmt ~tstep:t ~point ~xs
-                        ~read_value:(fun a ~point ->
-                          let key = cell a ~t ~point in
-                          match Hashtbl.find_opt local key with
-                          | Some v -> v
-                          | None ->
-                              let g = Grid.find ctx.grids a.array in
-                              let (_, slot, sp) = key in
-                              let idx =
-                                match g.decl.fold with
-                                | Some _ -> Array.of_list (slot :: sp)
-                                | None -> Array.of_list sp
-                              in
-                              Common.snapshot_read snap g (Grid.offset g idx))
-                        ~write_value:(fun ~point v ->
-                          Hashtbl.replace local (cell stmt.Stencil.write ~t ~point) v)
+                      Common.exec_stmt_row ctx ~stmt ~tstep:t ~point ~xs ~store
                         ~count:false ~global_reads:false ~shared_replay:1
-                        ~interleave_store:false ~use_shared:true
-                        ~shared_addr:(fun (a : Stencil.access) ~point ->
-                          let g = Grid.find ctx.grids a.array in
-                          let slot = Grid.slot g (t + a.time_off) in
-                          let p = Array.mapi (fun d o -> point.(d) + o) a.offsets in
-                          Common.Layout.addr lay ~array:a.array ~slot p)
-                        ())
-              )
+                        ~interleave_store:false ~use_shared:true ~shared_addr ())
+                end)
               ctx.stmts;
             Sim.sync ctx.sim
           done;
           (* copy-out: final values of cells inside the output tile *)
-          let per_array : (string, (int * float) list ref) Hashtbl.t = Hashtbl.create 4 in
-          Hashtbl.iter
-            (fun (arr, slot, sp) v ->
-              let inside =
-                List.for_all2
-                  (fun x (l, h) -> x >= l && x <= h)
-                  sp
-                  (Array.to_list (Array.map2 (fun l h -> (l, h)) out.blo out.bhi))
-              in
-              if inside then begin
-                let g = Grid.find ctx.grids arr in
-                let idx =
-                  match g.decl.fold with
-                  | Some _ -> Array.of_list (slot :: sp)
-                  | None -> Array.of_list sp
-                in
-                let flat = Grid.offset g idx in
-                let l =
-                  match Hashtbl.find_opt per_array arr with
-                  | Some l -> l
-                  | None ->
-                      let l = ref [] in
-                      Hashtbl.replace per_array arr l;
-                      l
-                in
-                l := (flat, v) :: !l
-              end)
-            local;
-          Hashtbl.iter
-            (fun arr l ->
-              let g = Grid.find ctx.grids arr in
-              let sorted = List.sort compare !l in
-              List.iter (fun (flat, v) -> g.data.(flat) <- v) sorted;
-              Common.store_cells ctx ~grid:g ~cells:(List.map fst sorted) ~via_shared:true)
-            per_array
+          Common.Store.copy_out store ctx ~within:out
         end);
     tt0 := tt0v + hh_eff
   done;

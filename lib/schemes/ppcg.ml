@@ -84,10 +84,7 @@ let run ?pool ?engine ?(config = default_config) ?(name = "ppcg") prog env dev =
                 Hashtbl.iter
                   (fun (arr, slot) box -> Common.Layout.add lay ~array:arr ~slot box)
                   boxes;
-                Common.Layout.iter lay ~f:(fun ~array ~slot box ->
-                    Common.load_box_rows ctx ~grid:(Grid.find ctx.grids array) ~slot ~box
-                      ~skip_x:(fun _ -> None)
-                      ~shared_addr:(fun p -> Common.Layout.addr lay ~array ~slot p));
+                Common.load_layout ctx lay;
                 Sim.sync ctx.sim;
                 (* compute *)
                 Common.iter_box_rows region ~f:(fun point ->
@@ -98,11 +95,7 @@ let run ?pool ?engine ?(config = default_config) ?(name = "ppcg") prog env dev =
                     Common.exec_stmt_row ctx ~stmt ~tstep ~point ~xs
                       ~global_reads:false ~shared_replay:1 ~interleave_store:true
                       ~use_shared:false
-                      ~shared_addr:(fun (a : Stencil.access) ~point ->
-                        let g = Grid.find ctx.grids a.array in
-                        let slot = Grid.slot g (tstep + a.time_off) in
-                        let p = Array.mapi (fun d o -> point.(d) + o) a.offsets in
-                        Common.Layout.addr lay ~array:a.array ~slot p)
+                      ~shared_addr:(Common.Layout.access_addr lay ctx ~tstep)
                       ());
                 Sim.sync ctx.sim
               end))

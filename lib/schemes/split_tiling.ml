@@ -37,18 +37,33 @@ let run ?pool ?engine ?(config = default_config) prog env dev =
     if nbase0 > 1 && rem <= 2 * r * hh then (nbase0 - 1, width + rem)
     else (nbase0, rem)
   in
-  let stmts = ctx.stmts in
-  let exec_interval ~tstep ~xlo ~xhi ~read_value ~write_value ~shared_addr =
+  (* the cells of [xlo, xhi] inside the statement domain *)
+  let clip ~xlo ~xhi =
+    { Common.blo = [| max xlo ctx.lo.(0).(0) |]; bhi = [| min xhi ctx.hi.(0).(0) |] }
+  in
+  (* copy-in: [inlo, inhi] of every (array, slot) into shared memory;
+     returns the shared address of an access *)
+  let copy_in ~t0 ~inlo ~inhi =
+    let lay = Common.Layout.create () in
+    let box = { Common.blo = [| inlo |]; bhi = [| inhi |] } in
+    List.iter
+      (fun (d : Stencil.array_decl) ->
+        for slot = 0 to Option.value d.fold ~default:1 - 1 do
+          Common.Layout.add lay ~array:d.aname ~slot box
+        done)
+      prog.arrays;
+    Common.load_layout ctx lay;
+    Sim.sync ctx.sim;
+    Common.Layout.access_addr lay ctx ~tstep:t0
+  in
+  let exec_interval ?store ~tstep ~xlo ~xhi ~shared_addr () =
+    let r = clip ~xlo ~xhi in
+    let xlo = r.blo.(0) and xhi = r.bhi.(0) in
     if xlo <= xhi then
-      Array.iter
-        (fun (s : Stencil.stmt) ->
-          let xlo = max xlo ctx.lo.(0).(0) and xhi = min xhi ctx.hi.(0).(0) in
-          if xlo <= xhi then
-            Common.exec_stmt_row ctx ~stmt:s ~tstep ~point:[| xlo |]
-              ~xs:(Array.init (xhi - xlo + 1) (fun i -> xlo + i))
-              ?read_value ?write_value ~global_reads:false ~shared_replay:1
-              ~interleave_store:true ~use_shared:true ~shared_addr ())
-        stmts
+      Common.exec_stmt_row ctx ~stmt:ctx.stmts.(0) ~tstep ~point:[| xlo |]
+        ~xs:(Array.init (xhi - xlo + 1) (fun i -> xlo + i))
+        ?store ~global_reads:false ~shared_replay:1 ~interleave_store:true
+        ~use_shared:true ~shared_addr ()
   in
   let tt0 = ref 0 in
   while !tt0 < ctx.steps do
@@ -66,61 +81,25 @@ let run ?pool ?engine ?(config = default_config) prog env dev =
       ~f:(fun b ->
         let base_lo = lo + (b * width) in
         let base_hi = if b = nbase - 1 then hi else base_lo + width - 1 in
-        (* copy-in the base plus read halo, from the pre-launch snapshot *)
-        let inlo = max lo (base_lo - r) and inhi = min hi (base_hi + r) in
-        let lay = Common.Layout.create () in
-        let box = { Common.blo = [| inlo |]; bhi = [| inhi |] } in
-        List.iter
-          (fun (d : Stencil.array_decl) ->
-            let m = match d.fold with Some m -> m | None -> 1 in
-            for slot = 0 to m - 1 do
-              Common.Layout.add lay ~array:d.aname ~slot box
-            done)
-          prog.arrays;
-        Common.Layout.iter lay ~f:(fun ~array ~slot box ->
-            Common.load_box_rows ctx ~grid:(Grid.find ctx.grids array) ~slot ~box
-              ~skip_x:(fun _ -> None)
-              ~shared_addr:(fun p -> Common.Layout.addr lay ~array ~slot p));
-        Sim.sync ctx.sim;
-        (* local writes so concurrent blocks read pre-launch halo values *)
-        let local : (string * int * int, float) Hashtbl.t = Hashtbl.create 64 in
-        let cell (a : Stencil.access) ~t ~point =
-          let g = Grid.find ctx.grids a.array in
-          (a.array, Grid.slot g (t + a.time_off), point.(0) + a.offsets.(0))
+        (* copy-in the base plus read halo *)
+        let shared_addr =
+          copy_in ~t0 ~inlo:(max lo (base_lo - r)) ~inhi:(min hi (base_hi + r))
         in
-        let shared_addr (a : Stencil.access) ~point =
-          let g = Grid.find ctx.grids a.array in
-          let slot = Grid.slot g (t0 + a.time_off) in
-          Common.Layout.addr lay ~array:a.array ~slot [| point.(0) + a.offsets.(0) |]
-        in
+        (* the block reads the pre-launch snapshot overlaid with its own
+           writes, so concurrent blocks never see each other's halo
+           updates; writes also go through to the grid (the interleaved
+           copy-out) *)
+        let store = Common.Store.begin_block ~write_through:true ctx in
         for j = 0 to hh_eff - 1 do
-          let t = t0 + j in
-          exec_interval ~tstep:t ~xlo:(base_lo + (r * j)) ~xhi:(base_hi - (r * j))
-            ~read_value:
-              (Some
-                 (fun a ~point ->
-                   match Hashtbl.find_opt local (cell a ~t ~point) with
-                   | Some v -> v
-                   | None ->
-                       let g = Grid.find ctx.grids a.array in
-                       let _, slot, x = cell a ~t ~point in
-                       let idx =
-                         match g.decl.fold with
-                         | Some _ -> [| slot; x |]
-                         | None -> [| x |]
-                       in
-                       Common.snapshot_read snap g (Grid.offset g idx)))
-            ~write_value:
-              (Some
-                 (fun ~point v ->
-                   (* write-through: local (for later steps of this block)
-                      and global (interleaved copy-out) *)
-                   Hashtbl.replace local (cell stmts.(0).write ~t ~point) v;
-                   Grid.write_access ctx.grids stmts.(0).write ~t ~point v))
-            ~shared_addr;
+          Common.Store.touch store ctx ~stmt:ctx.stmts.(0) ~tstep:(t0 + j)
+            (clip ~xlo:(base_lo + (r * j)) ~xhi:(base_hi - (r * j)))
+        done;
+        Common.Store.fill store ctx ~snap;
+        for j = 0 to hh_eff - 1 do
+          exec_interval ~store ~tstep:(t0 + j) ~xlo:(base_lo + (r * j))
+            ~xhi:(base_hi - (r * j)) ~shared_addr ();
           Sim.sync ctx.sim
-        done)
-      ;
+        done);
     (* ---- phase B: inverted trapezoids -------------------------------- *)
     (* Upright tile k at step j covers [ulo k j, uhi k j]; the inverted
        block at boundary b owns the gap containing its boundary. Every
@@ -147,35 +126,15 @@ let run ?pool ?engine ?(config = default_config) prog env dev =
       ~blocks:(nbase + 1) ~threads:(min (2 * r * hh) 256) ~shared_bytes:0
       ~f:(fun b ->
         let bnd = bnd_of b in
-        let lay = Common.Layout.create () in
         let inlo = max lo (bnd - (r * hh_eff) - r)
         and inhi = min hi (bnd + (r * hh_eff) + r - 1) in
         if inlo <= inhi then begin
-          let box = { Common.blo = [| inlo |]; bhi = [| inhi |] } in
-          List.iter
-            (fun (d : Stencil.array_decl) ->
-              let m = match d.fold with Some m -> m | None -> 1 in
-              for slot = 0 to m - 1 do
-                Common.Layout.add lay ~array:d.aname ~slot box
-              done)
-            prog.arrays;
-          Common.Layout.iter lay ~f:(fun ~array ~slot box ->
-              Common.load_box_rows ctx ~grid:(Grid.find ctx.grids array) ~slot ~box
-                ~skip_x:(fun _ -> None)
-                ~shared_addr:(fun p -> Common.Layout.addr lay ~array ~slot p));
-          Sim.sync ctx.sim;
-          let shared_addr (a : Stencil.access) ~point =
-            let g = Grid.find ctx.grids a.array in
-            let slot = Grid.slot g (t0 + a.time_off) in
-            Common.Layout.addr lay ~array:a.array ~slot
-              [| point.(0) + a.offsets.(0) |]
-          in
+          let shared_addr = copy_in ~t0 ~inlo ~inhi in
           for j = 1 to hh_eff - 1 do
             let t = t0 + j in
             (match gap_of b j with
             | Some (xlo, xhi) ->
-                exec_interval ~tstep:t ~xlo ~xhi ~read_value:None
-                  ~write_value:None ~shared_addr
+                exec_interval ~tstep:t ~xlo ~xhi ~shared_addr ()
             | None -> ());
             Sim.sync ctx.sim
           done

@@ -9,6 +9,7 @@ open Hextile_stencils
 open Hextile_ir
 module Check = Hextile_check
 module Par = Hextile_par.Par
+module Experiments = Hextile_experiments.Experiments
 
 let test_env prog = fun p -> List.assoc p (Suite.test_params prog)
 
@@ -65,7 +66,11 @@ let test_hybrid_table3 () =
     Suite.all
 
 (* The classical-tiling executors share the batched exec_stmt_row /
-   copy-in / copy-out paths; one representative per executor. *)
+   copy-in / copy-out paths; one representative per executor — except
+   Overtile, whose block-store path runs on every suite program (plus
+   fdtd2d with a taller time tile over a narrow output tile), tape
+   against the closure reference and the tape engine at jobs 2 and 4
+   against jobs 1. *)
 let test_other_schemes () =
   let check name run prog =
     let env = test_env prog in
@@ -73,12 +78,95 @@ let test_other_schemes () =
   in
   check "ppcg" (fun engine p e -> Ppcg.run ~engine p e Device.gtx470) Suite.jacobi2d;
   check "par4all" (fun engine p e -> Par4all.run ~engine p e Device.gtx470) Suite.jacobi2d;
-  check "overtile"
-    (fun engine p e -> Overtile.run ~engine p e Device.gtx470)
-    Suite.jacobi2d;
   check "split"
     (fun engine p e -> Split_tiling.run ~engine p e Device.gtx470)
-    Suite.heat1d
+    Suite.heat1d;
+  let overtile ?pool ?config ~engine prog =
+    Overtile.run ?pool ?config ~engine prog (test_env prog) Device.gtx470
+  in
+  List.iter
+    (fun (label, config, prog) ->
+      let seq = overtile ?config ~engine:Common.Tape prog in
+      compare_results ("overtile/" ^ label)
+        (overtile ?config ~engine:Common.Ref prog)
+        seq;
+      List.iter
+        (fun jobs ->
+          Par.with_pool ~jobs (fun pool ->
+              compare_identical
+                (Fmt.str "overtile/%s/jobs%d vs jobs1" label jobs)
+                seq
+                (overtile ~pool ?config ~engine:Common.Tape prog)))
+        [ 2; 4 ])
+    (("fdtd2d-hh3-8x32", Some { Overtile.hh = 3; tile = Some [| 8; 32 |] }, Suite.fdtd2d)
+    :: List.map (fun (p : Stencil.t) -> (p.name, None, p)) Suite.all)
+
+(* Rename every array of a program ([names] in declaration order). *)
+let rename_arrays (p : Stencil.t) names =
+  let map =
+    List.combine (List.map (fun (a : Stencil.array_decl) -> a.aname) p.arrays) names
+  in
+  let acc (a : Stencil.access) = { a with array = List.assoc a.array map } in
+  let rec fexpr : Stencil.fexpr -> Stencil.fexpr = function
+    | Read a -> Read (acc a)
+    | Fconst _ as c -> c
+    | Bin (o, x, y) -> Bin (o, fexpr x, fexpr y)
+    | Neg x -> Neg (fexpr x)
+  in
+  {
+    p with
+    arrays =
+      List.map (fun (a : Stencil.array_decl) -> { a with aname = List.assoc a.aname map }) p.arrays;
+    stmts =
+      List.map
+        (fun (s : Stencil.stmt) -> { s with write = acc s.write; rhs = fexpr s.rhs })
+        p.stmts;
+  }
+
+(* Arrays are placed in declaration order, so renaming them must not
+   move any counter — in particular Overtile's copy-out, which stores
+   one array after another, must not take them in name-hash order.
+   fdtd2d writes three arrays; on the scaled device its L2 is small
+   enough that the store order shows in the DRAM counters. *)
+let test_overtile_counters_name_independent () =
+  let env p = List.assoc p [ ("N", 48); ("T", 12) ] in
+  let counters prog =
+    let dev = Experiments.scaled_device Device.gtx470 prog [ ("N", 48); ("T", 12) ] in
+    Counters.to_assoc (Overtile.run prog env dev).counters
+  in
+  let base = counters Suite.fdtd2d in
+  List.iter
+    (fun names ->
+      Alcotest.(check (list (pair string int)))
+        ("fdtd2d overtile counters, arrays " ^ String.concat "," names)
+        base
+        (counters (rename_arrays Suite.fdtd2d names)))
+    [
+      [ "hz"; "ex"; "ey" ];
+      [ "arrq"; "arrb"; "arrz" ];
+      [ "arrkxte"; "arrmuwa"; "arrpjdh" ];
+      [ "u"; "v"; "w" ];
+      [ "zz"; "yy"; "xx" ];
+      [ "E_y"; "E_x"; "H_z" ];
+    ]
+
+(* Overtile's block body runs on the block store: its steady state must
+   not allocate in proportion to the redundant halo compute. The
+   hash-table store it replaced took ~930 minor words per update here;
+   the budget leaves room for per-row bookkeeping only. *)
+let test_overtile_allocation_budget () =
+  let prog = Suite.laplacian2d in
+  let env p = List.assoc p [ ("N", 48); ("T", 12) ] in
+  let run () = Overtile.run ~engine:Common.Tape prog env Device.gtx470 in
+  ignore (run ());
+  let before = Gc.minor_words () in
+  let r = run () in
+  let per_update = (Gc.minor_words () -. before) /. float_of_int r.updates in
+  if per_update > 150.0 then
+    Alcotest.failf
+      "overtile laplacian2d 48x48x12 allocated %.1f minor words per update \
+       (budget 150)"
+      per_update
 
 (* The shared class table is the tape engine's one cross-domain data
    structure; this is the determinism contract head-on. Every suite
@@ -157,6 +245,10 @@ let suite =
     Alcotest.test_case "hybrid tape vs ref, suite, jobs 1/2/4" `Quick
       test_hybrid_table3;
     Alcotest.test_case "classical schemes tape vs ref" `Quick test_other_schemes;
+    Alcotest.test_case "overtile counters independent of array names" `Quick
+      test_overtile_counters_name_independent;
+    Alcotest.test_case "overtile block execution allocation budget" `Quick
+      test_overtile_allocation_budget;
     Alcotest.test_case "shared class table: bit-identical at jobs 1/2/4" `Quick
       test_shared_cache_determinism;
     Alcotest.test_case "hybrid tape vs ref, 25 fuzzed programs" `Quick test_fuzzed;
