@@ -10,7 +10,6 @@ type compiled = {
   ceval : int -> int array -> float;  (** tstep -> point -> value *)
   cwgrid : Grid.t;
   cwflat : int -> int array -> int;  (** tstep -> point -> flat write index *)
-  creads : (Grid.t * (int -> int array -> int)) list;  (** per distinct read *)
   tape : Tape.t option;
       (** [None] when row batching would reorder an aliased read/write
           (the per-lane interleaved reference order must be kept) *)
@@ -18,7 +17,7 @@ type compiled = {
       (** the tape's fused run plan (compiled alongside it), for the
           analytic epilogue's bulk row replay *)
   tsrcs : (Grid.t * (int -> int array -> int)) array;
-      (** tape sources in register order (= [creads] order) *)
+      (** per distinct read, in tape register order *)
   tdatas : float array array;  (** [tsrcs] data arrays (read-only share) *)
   caccs : Stencil.access list;  (** distinct reads, in [tsrcs] order *)
   skeys : (int -> int) array;
@@ -209,7 +208,6 @@ let compile_stmt (ctx : ctx) (s : Stencil.stmt) =
           ceval = comp s.rhs;
           cwgrid = wg;
           cwflat = access_flat ctx.grids s.write;
-          creads = Array.to_list tsrcs;
           tape = Option.map fst tp;
           tplan = Option.map snd tp;
           tsrcs;
@@ -501,18 +499,6 @@ type crows = {
           replay, for [sim.analytic_blit_rows] *)
 }
 
-type pending_run = {
-  mutable pstmt : int;
-  mutable ptstep : int;
-  mutable pwflat : int;
-  mutable psrcs : int array;
-  mutable pn : int;
-  mutable pmerged : int;
-  mutable pplan : Tape.plan;
-  mutable pdatas : float array array;
-  mutable pout : float array;
-}
-
 let compile_rows ctx rows =
   let rows = Array.of_list rows in
   (* ascending (tstep, statement) = ascending u: dependency-safe group
@@ -527,79 +513,49 @@ let compile_rows ctx rows =
         let c = compare s1 s2 in
         if c <> 0 then c else compare w1 w2)
     rows;
-  let points = ref 0 and instrs = ref 0 and regs = ref 0 and blit = ref 0 in
-  let acc = ref [] in
-  let pending : pending_run option ref = ref None in
-  let close () =
-    match !pending with
-    | None -> ()
-    | Some p ->
-        if p.pmerged > 1 then blit := !blit + p.pmerged;
-        acc :=
-          {
-            cplan = p.pplan;
-            cdatas = p.pdatas;
-            cout = p.pout;
-            cwflat = p.pwflat;
-            csrcs = p.psrcs;
-            cn = p.pn;
-            cmerged = p.pmerged;
-          }
-          :: !acc;
-        pending := None
-  in
+  let points = ref 0 and instrs = ref 0 and regs = ref 0 in
+  (* runs, newest first, and the (statement, tstep) group of the newest *)
+  let runs = ref [] and group = ref (-1, -1) in
   Array.iter
     (fun (stmt_idx, tstep, wflat, srcs, n) ->
       let c = compile_stmt ctx ctx.stmts.(stmt_idx) in
       match (c.tape, c.tplan) with
-      | Some tape, Some plan ->
+      | Some tape, Some plan -> (
           points := !points + n;
           instrs :=
             !instrs + (Tape.length tape * ((n + Tape.lanes - 1) / Tape.lanes));
           regs := max !regs (Tape.plan_scratch_words plan);
-          let continues =
-            match !pending with
-            | Some p ->
-                p.pstmt = stmt_idx && p.ptstep = tstep
-                && wflat = p.pwflat + p.pn
-                && Array.length srcs = Array.length p.psrcs
-                && (let ok = ref true in
-                    Array.iteri
-                      (fun i s -> if s <> p.psrcs.(i) + p.pn then ok := false)
-                      srcs;
-                    !ok)
-            | None -> false
-          in
-          if continues then begin
-            let p = Option.get !pending in
-            p.pn <- p.pn + n;
-            p.pmerged <- p.pmerged + 1
-          end
-          else begin
-            close ();
-            pending :=
-              Some
+          let same_group = !group = (stmt_idx, tstep) in
+          group := (stmt_idx, tstep);
+          match !runs with
+          | r :: rest
+            when same_group
+                 && wflat = r.cwflat + r.cn
+                 && Array.length srcs = Array.length r.csrcs
+                 && Array.for_all2 (fun s s0 -> s = s0 + r.cn) srcs r.csrcs ->
+              runs := { r with cn = r.cn + n; cmerged = r.cmerged + 1 } :: rest
+          | _ ->
+              runs :=
                 {
-                  pstmt = stmt_idx;
-                  ptstep = tstep;
-                  pwflat = wflat;
-                  psrcs = srcs;
-                  pn = n;
-                  pmerged = 1;
-                  pplan = plan;
-                  pdatas = c.tdatas;
-                  pout = c.cwgrid.data;
+                  cplan = plan;
+                  cdatas = c.tdatas;
+                  cout = c.cwgrid.data;
+                  cwflat = wflat;
+                  csrcs = srcs;
+                  cn = n;
+                  cmerged = 1;
                 }
-          end
+                :: !runs)
       | _ -> invalid_arg "Common.compile_rows: statement has no tape")
     rows;
-  close ();
+  let crows = Array.of_list (List.rev !runs) in
   {
-    crows = Array.of_list (List.rev !acc);
+    crows;
     cregs = !regs;
     cpoints = !points;
     cinstrs = !instrs;
-    cblit = !blit;
+    cblit =
+      Array.fold_left (fun a r -> if r.cmerged > 1 then a + r.cmerged else a) 0 crows;
   }
 
 let exec_rows (ctx : ctx) { crows; cregs; cpoints; cinstrs; cblit } ~off =
@@ -923,7 +879,7 @@ let exec_stmt_row ctx ~stmt ~tstep ~point ~xs ?store ?(count = true)
       if global_reads then
         let flats =
           match loads_subset with
-          | None -> c.creads
+          | None -> Array.to_list c.tsrcs
           | Some l ->
               List.map
                 (fun (a : Stencil.access) ->
@@ -962,28 +918,23 @@ let exec_stmt_row ctx ~stmt ~tstep ~point ~xs ?store ?(count = true)
           let nlanes = Array.length lane_xs in
           let dx0 = lane_xs.(0) - x0 in
           let tids = lane_tids point lane_xs in
+          (* lane addresses from a row [base], [stride] bytes or words per x *)
+          let addrs base stride =
+            Array.init nlanes (fun i -> Some (base + (stride * (dx0 + i))))
+          in
           (* loads *)
-          if global_reads then
-            List.iter
-              (fun base ->
-                Sim.global_load_warp ctx.sim
-                  (Array.init nlanes (fun i -> Some (base + (4 * (dx0 + i))))))
-              read_bases
-          else
-            List.iter
-              (fun base ->
-                Sim.shared_load_warp ~replay:shared_replay ?tids ctx.sim
-                  (Array.init nlanes (fun i -> Some (base + dx0 + i))))
-              read_bases;
+          List.iter
+            (fun base ->
+              if global_reads then Sim.global_load_warp ctx.sim (addrs base 4)
+              else Sim.shared_load_warp ~replay:shared_replay ?tids ctx.sim (addrs base 1))
+            read_bases;
           (* arithmetic *)
           Sim.flops_warp ctx.sim ~active:nlanes ~per_lane:nflops;
           (* store accounting *)
           if use_shared then
-            Sim.shared_store_warp ~replay:shared_replay ?tids ctx.sim
-              (Array.init nlanes (fun i -> Some (wbase_shared + dx0 + i)));
+            Sim.shared_store_warp ~replay:shared_replay ?tids ctx.sim (addrs wbase_shared 1);
           if interleave_store || not use_shared then
-            Sim.global_store_warp ctx.sim
-              (Array.init nlanes (fun i -> Some (wbase_global + (4 * (dx0 + i)))));
+            Sim.global_store_warp ctx.sim (addrs wbase_global 4);
           Array.iter lane lane_xs;
           if count then ignore (Atomic.fetch_and_add ctx.updates nlanes))
     else begin
