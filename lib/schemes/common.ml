@@ -499,6 +499,18 @@ type crows = {
           replay, for [sim.analytic_blit_rows] *)
 }
 
+type pending_run = {
+  mutable pstmt : int;
+  mutable ptstep : int;
+  mutable pwflat : int;
+  mutable psrcs : int array;
+  mutable pn : int;
+  mutable pmerged : int;
+  mutable pplan : Tape.plan;
+  mutable pdatas : float array array;
+  mutable pout : float array;
+}
+
 let compile_rows ctx rows =
   let rows = Array.of_list rows in
   (* ascending (tstep, statement) = ascending u: dependency-safe group
@@ -513,49 +525,79 @@ let compile_rows ctx rows =
         let c = compare s1 s2 in
         if c <> 0 then c else compare w1 w2)
     rows;
-  let points = ref 0 and instrs = ref 0 and regs = ref 0 in
-  (* runs, newest first, and the (statement, tstep) group of the newest *)
-  let runs = ref [] and group = ref (-1, -1) in
+  let points = ref 0 and instrs = ref 0 and regs = ref 0 and blit = ref 0 in
+  let acc = ref [] in
+  let pending : pending_run option ref = ref None in
+  let close () =
+    match !pending with
+    | None -> ()
+    | Some p ->
+        if p.pmerged > 1 then blit := !blit + p.pmerged;
+        acc :=
+          {
+            cplan = p.pplan;
+            cdatas = p.pdatas;
+            cout = p.pout;
+            cwflat = p.pwflat;
+            csrcs = p.psrcs;
+            cn = p.pn;
+            cmerged = p.pmerged;
+          }
+          :: !acc;
+        pending := None
+  in
   Array.iter
     (fun (stmt_idx, tstep, wflat, srcs, n) ->
       let c = compile_stmt ctx ctx.stmts.(stmt_idx) in
       match (c.tape, c.tplan) with
-      | Some tape, Some plan -> (
+      | Some tape, Some plan ->
           points := !points + n;
           instrs :=
             !instrs + (Tape.length tape * ((n + Tape.lanes - 1) / Tape.lanes));
           regs := max !regs (Tape.plan_scratch_words plan);
-          let same_group = !group = (stmt_idx, tstep) in
-          group := (stmt_idx, tstep);
-          match !runs with
-          | r :: rest
-            when same_group
-                 && wflat = r.cwflat + r.cn
-                 && Array.length srcs = Array.length r.csrcs
-                 && Array.for_all2 (fun s s0 -> s = s0 + r.cn) srcs r.csrcs ->
-              runs := { r with cn = r.cn + n; cmerged = r.cmerged + 1 } :: rest
-          | _ ->
-              runs :=
+          let continues =
+            match !pending with
+            | Some p ->
+                p.pstmt = stmt_idx && p.ptstep = tstep
+                && wflat = p.pwflat + p.pn
+                && Array.length srcs = Array.length p.psrcs
+                && (let ok = ref true in
+                    Array.iteri
+                      (fun i s -> if s <> p.psrcs.(i) + p.pn then ok := false)
+                      srcs;
+                    !ok)
+            | None -> false
+          in
+          if continues then begin
+            let p = Option.get !pending in
+            p.pn <- p.pn + n;
+            p.pmerged <- p.pmerged + 1
+          end
+          else begin
+            close ();
+            pending :=
+              Some
                 {
-                  cplan = plan;
-                  cdatas = c.tdatas;
-                  cout = c.cwgrid.data;
-                  cwflat = wflat;
-                  csrcs = srcs;
-                  cn = n;
-                  cmerged = 1;
+                  pstmt = stmt_idx;
+                  ptstep = tstep;
+                  pwflat = wflat;
+                  psrcs = srcs;
+                  pn = n;
+                  pmerged = 1;
+                  pplan = plan;
+                  pdatas = c.tdatas;
+                  pout = c.cwgrid.data;
                 }
-                :: !runs)
+          end
       | _ -> invalid_arg "Common.compile_rows: statement has no tape")
     rows;
-  let crows = Array.of_list (List.rev !runs) in
+  close ();
   {
-    crows;
+    crows = Array.of_list (List.rev !acc);
     cregs = !regs;
     cpoints = !points;
     cinstrs = !instrs;
-    cblit =
-      Array.fold_left (fun a r -> if r.cmerged > 1 then a + r.cmerged else a) 0 crows;
+    cblit = !blit;
   }
 
 let exec_rows (ctx : ctx) { crows; cregs; cpoints; cinstrs; cblit } ~off =
@@ -693,16 +735,7 @@ module Store = struct
   let domain_store = Domain.DLS.new_key (fun () -> { boxes = [||]; write_through = false })
   let slots (d : Stencil.array_decl) = Option.value d.fold ~default:1
 
-  let begin_block ?(write_through = false) (ctx : ctx) =
-    let st = Domain.DLS.get domain_store in
-    let n = List.fold_left (fun n d -> n + slots d) 0 ctx.prog.arrays in
-    if Array.length st.boxes < n then
-      st.boxes <- Array.init n (fun _ -> { area = None; data = [||]; mark = Bytes.empty });
-    Array.iter (fun b -> b.area <- None) st.boxes;
-    st.write_through <- write_through;
-    st
-
-  let touch st (ctx : ctx) ~(stmt : Stencil.stmt) ~tstep (region : box) =
+  let touch st (ctx : ctx) ((stmt : Stencil.stmt), tstep, (region : box)) =
     List.iter
       (fun (a : Stencil.access) ->
         (* the region shifted by the access's offsets, clipped to the grid *)
@@ -757,7 +790,14 @@ module Store = struct
            k + slots d)
          0 ctx.prog.arrays)
 
-  let fill st ctx ~snap =
+  let load ?(write_through = false) (ctx : ctx) ~snap regions =
+    let st = Domain.DLS.get domain_store in
+    let n = List.fold_left (fun n d -> n + slots d) 0 ctx.prog.arrays in
+    if Array.length st.boxes < n then
+      st.boxes <- Array.init n (fun _ -> { area = None; data = [||]; mark = Bytes.empty });
+    Array.iter (fun b -> b.area <- None) st.boxes;
+    st.write_through <- write_through;
+    List.iter (touch st ctx) regions;
     Array.iter
       (fun b ->
         Option.iter
@@ -771,7 +811,8 @@ module Store = struct
           b.area)
       st.boxes;
     iter_rows st ctx (fun d _ b goff boff len ->
-        Array.blit (Hashtbl.find snap d.aname) goff b.data boff len)
+        Array.blit (Hashtbl.find snap d.aname) goff b.data boff len);
+    st
 
   let copy_out st (ctx : ctx) ~within =
     let cur = ref None and cells = ref [] in

@@ -141,20 +141,19 @@ module Store : sig
 
   type t
 
-  val begin_block : ?write_through:bool -> ctx -> t
-  (** The calling domain's store, emptied for a new block. With
+  val load :
+    ?write_through:bool ->
+    ctx ->
+    snap:(string, float array) Hashtbl.t ->
+    (Stencil.stmt * int * box) list ->
+    t
+  (** The calling domain's store, set up for a block that computes each
+      [(stmt, tstep, region)]: its boxes cover every access of those
+      instances (write and reads, shifted by their offsets, clipped to
+      the grid) — {!exec_stmt_row} rejects any access outside them —
+      loaded from the snapshot, with no cell marked written. With
       [write_through] (default false) every write also goes to the
       context grids. *)
-
-  val touch : t -> ctx -> stmt:Stencil.stmt -> tstep:int -> box -> unit
-  (** Grow the boxes to cover every access of [stmt]'s instances at
-      [tstep] over the region (write and reads, shifted by their
-      offsets, clipped to the grid). Call for every region the block
-      computes before {!fill}; {!exec_stmt_row} rejects accesses outside
-      the boxes. *)
-
-  val fill : t -> ctx -> snap:(string, float array) Hashtbl.t -> unit
-  (** Load every touched box from the snapshot and clear its marks. *)
 
   val copy_out : t -> ctx -> within:box -> unit
   (** Write every cell the block wrote inside [within] back to the

@@ -154,11 +154,12 @@ let run ?pool ?engine ?config prog env dev =
                     dilate out ~by:(reach units) ~lo:ctx.lo.(si) ~hi:ctx.hi.(si)))
           in
           (* functional copy-in: the block's values, snapshot first *)
-          let store = Common.Store.begin_block ctx in
-          Array.iteri
-            (fun j -> Array.iteri (fun si -> Common.Store.touch store ctx ~stmt:ctx.stmts.(si) ~tstep:(tt0v + j)))
-            regions;
-          Common.Store.fill store ctx ~snap;
+          let store =
+            Common.Store.load ctx ~snap
+              (List.concat
+                 (List.init hh_eff (fun j ->
+                      List.init ctx.k (fun si -> (ctx.stmts.(si), tt0v + j, regions.(j).(si))))))
+          in
           (* redundant compute over the shrinking trapezoid *)
           for j = 0 to hh_eff - 1 do
             let t = tt0v + j in

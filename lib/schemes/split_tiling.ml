@@ -89,12 +89,11 @@ let run ?pool ?engine ?(config = default_config) prog env dev =
            writes, so concurrent blocks never see each other's halo
            updates; writes also go through to the grid (the interleaved
            copy-out) *)
-        let store = Common.Store.begin_block ~write_through:true ctx in
-        for j = 0 to hh_eff - 1 do
-          Common.Store.touch store ctx ~stmt:ctx.stmts.(0) ~tstep:(t0 + j)
-            (clip ~xlo:(base_lo + (r * j)) ~xhi:(base_hi - (r * j)))
-        done;
-        Common.Store.fill store ctx ~snap;
+        let store =
+          Common.Store.load ~write_through:true ctx ~snap
+            (List.init hh_eff (fun j ->
+                 (ctx.stmts.(0), t0 + j, clip ~xlo:(base_lo + (r * j)) ~xhi:(base_hi - (r * j)))))
+        in
         for j = 0 to hh_eff - 1 do
           exec_interval ~store ~tstep:(t0 + j) ~xlo:(base_lo + (r * j))
             ~xhi:(base_hi - (r * j)) ~shared_addr ();
