@@ -144,14 +144,15 @@ let tape_cache :
     =
   Hextile_par.Oncemap.create ~bits:8 ~name:"schemes.tape" ()
 
+let slots (d : Stencil.array_decl) = Option.value d.fold ~default:1
+
 (* Block-store keys number the (array, slot) pairs in declaration order:
    an array's slots follow the slots of every array declared before it. *)
 let store_key (prog : Stencil.t) aname =
   let rec go base = function
     | [] -> invalid_arg ("Common.store_key: unknown array " ^ aname)
     | (d : Stencil.array_decl) :: rest ->
-        if String.equal d.aname aname then base
-        else go (base + Option.value d.fold ~default:1) rest
+        if String.equal d.aname aname then base else go (base + slots d) rest
   in
   go 0 prog.arrays
 
@@ -430,10 +431,8 @@ let get_scratch words =
     nb
   end
 
-(* Run one statement row through its tape: [n] lanes with per-source flat
-   word bases [src_flats] (tape register order) writing from flat word
-   [wflat]. Shared by the live tape path and [Sim.replay_stream]'s
-   [Compute] events (the replay translates the recorded bases first). *)
+(* [n] lanes of [tape] in warp chunks: sources at [datas.(k).(bases.(k) + j)],
+   lane [j]'s result to [out.(out_base + j)]. *)
 let run_tape (tape : Tape.t) ~datas ~bases ~n ~out ~out_base =
   let regs = get_scratch (tape.nregs * Tape.lanes) in
   let i = ref 0 in
@@ -446,6 +445,10 @@ let run_tape (tape : Tape.t) ~datas ~bases ~n ~out ~out_base =
     ~by:(Tape.length tape * ((n + Tape.lanes - 1) / Tape.lanes))
     "sim.tape_instrs"
 
+(* Run one statement row through its tape: [n] lanes with per-source flat
+   word bases [src_flats] (tape register order) writing from flat word
+   [wflat]: [Sim.replay_stream]'s [Compute] events (the replay
+   translates the recorded bases first). *)
 let exec_tape_row ctx ~stmt_idx ~wflat ~src_flats ~n =
   let c = compile_stmt ctx ctx.stmts.(stmt_idx) in
   match c.tape with
@@ -733,7 +736,6 @@ module Store = struct
   type t = { mutable boxes : sbox array; mutable write_through : bool }
 
   let domain_store = Domain.DLS.new_key (fun () -> { boxes = [||]; write_through = false })
-  let slots (d : Stencil.array_decl) = Option.value d.fold ~default:1
 
   let touch st (ctx : ctx) ((stmt : Stencil.stmt), tstep, (region : box)) =
     List.iter

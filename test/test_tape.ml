@@ -124,30 +124,39 @@ let rename_arrays (p : Stencil.t) names =
   }
 
 (* Arrays are placed in declaration order, so renaming them must not
-   move any counter — in particular Overtile's copy-out, which stores
-   one array after another, must not take them in name-hash order.
-   fdtd2d writes three arrays; on the scaled device its L2 is small
-   enough that the store order shows in the DRAM counters. *)
+   move any counter. Overtile's copy-in and copy-out visit (array, slot)
+   pairs in that order too, never in name-hash order: on the scaled
+   device the L2 is small enough that the order shows in the DRAM
+   counters of fdtd2d (three arrays) and wave2d (one array, three
+   storage slots). *)
 let test_overtile_counters_name_independent () =
-  let env p = List.assoc p [ ("N", 48); ("T", 12) ] in
+  let params = [ ("N", 48); ("T", 12) ] in
   let counters prog =
-    let dev = Experiments.scaled_device Device.gtx470 prog [ ("N", 48); ("T", 12) ] in
-    Counters.to_assoc (Overtile.run prog env dev).counters
+    let dev = Experiments.scaled_device Device.gtx470 prog params in
+    Counters.to_assoc (Overtile.run prog (fun p -> List.assoc p params) dev).counters
   in
-  let base = counters Suite.fdtd2d in
   List.iter
-    (fun names ->
-      Alcotest.(check (list (pair string int)))
-        ("fdtd2d overtile counters, arrays " ^ String.concat "," names)
-        base
-        (counters (rename_arrays Suite.fdtd2d names)))
+    (fun (prog, renamings) ->
+      let base = counters prog in
+      List.iter
+        (fun names ->
+          Alcotest.(check (list (pair string int)))
+            (Fmt.str "%s overtile counters, arrays %s" prog.Stencil.name
+               (String.concat "," names))
+            base
+            (counters (rename_arrays prog names)))
+        renamings)
     [
-      [ "hz"; "ex"; "ey" ];
-      [ "arrq"; "arrb"; "arrz" ];
-      [ "arrkxte"; "arrmuwa"; "arrpjdh" ];
-      [ "u"; "v"; "w" ];
-      [ "zz"; "yy"; "xx" ];
-      [ "E_y"; "E_x"; "H_z" ];
+      ( Suite.fdtd2d,
+        [
+          [ "hz"; "ex"; "ey" ];
+          [ "arrq"; "arrb"; "arrz" ];
+          [ "arrkxte"; "arrmuwa"; "arrpjdh" ];
+          [ "u"; "v"; "w" ];
+          [ "zz"; "yy"; "xx" ];
+          [ "E_y"; "E_x"; "H_z" ];
+        ] );
+      (Suite.wave2d, [ [ "B" ]; [ "u" ]; [ "arrkxte" ]; [ "zz" ] ]);
     ]
 
 (* Overtile's block body runs on the block store: its steady state must
