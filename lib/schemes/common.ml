@@ -759,38 +759,31 @@ module Store = struct
         end)
       (stmt.write :: Stencil.reads stmt)
 
-  (* [f d g b goff boff len] for every x-row of every touched box [b]
-     (of array [d], grid [g]) clipped to [within], arrays in declaration
-     order and each array's slots ascending — so rows come in ascending
-     grid order per array. The row starts at word [goff] of the grid and
-     word [boff] of [b]. *)
-  let iter_rows ?within st (ctx : ctx) f =
-    ignore
-      (List.fold_left
-         (fun k (d : Stencil.array_decl) ->
-           let g = Grid.find ctx.grids d.aname in
-           let gbase = Array.length g.dims - ctx.dims in
-           for slot = 0 to slots d - 1 do
-             let b = st.boxes.(k + slot) in
-             Option.iter
-               (fun area ->
-                 let r = match within with Some w -> box_inter area w | None -> area in
-                 let rec go dim goff boff =
-                   let gext = g.dims.(gbase + dim) and bext = area.bhi.(dim) - area.blo.(dim) + 1 in
-                   let boff x = (boff * bext) + x - area.blo.(dim) in
-                   if dim = ctx.dims - 1 then
-                     f d g b ((goff * gext) + r.blo.(dim)) (boff r.blo.(dim))
-                       (r.bhi.(dim) - r.blo.(dim) + 1)
-                   else
-                     for x = r.blo.(dim) to r.bhi.(dim) do
-                       go (dim + 1) ((goff * gext) + x) (boff x)
-                     done
-                 in
-                 if not (box_is_empty r) then go 0 (if gbase > 0 then slot else 0) 0)
-               b.area
-           done;
-           k + slots d)
-         0 ctx.prog.arrays)
+  (* [f b goff boff len] for every x-row of [d]'s touched boxes [b]
+     clipped to [within], slots ascending — so in ascending grid order.
+     The row starts at word [goff] of the grid and word [boff] of [b]. *)
+  let iter_rows ?within st (ctx : ctx) (d : Stencil.array_decl) f =
+    let g = Grid.find ctx.grids d.aname in
+    let gbase = Array.length g.dims - ctx.dims in
+    let k = store_key ctx.prog d.aname in
+    for slot = 0 to slots d - 1 do
+      let b = st.boxes.(k + slot) in
+      Option.iter
+        (fun area ->
+          let r = match within with Some w -> box_inter area w | None -> area in
+          let rec go dim goff boff =
+            let gext = g.dims.(gbase + dim) and bext = area.bhi.(dim) - area.blo.(dim) + 1 in
+            let boff_at x = (boff * bext) + x - area.blo.(dim) in
+            if dim = ctx.dims - 1 then
+              f b ((goff * gext) + r.blo.(dim)) (boff_at r.blo.(dim)) (r.bhi.(dim) - r.blo.(dim) + 1)
+            else
+              for x = r.blo.(dim) to r.bhi.(dim) do
+                go (dim + 1) ((goff * gext) + x) (boff_at x)
+              done
+          in
+          if not (box_is_empty r) then go 0 (if gbase > 0 then slot else 0) 0)
+        b.area
+    done
 
   let load ?(write_through = false) (ctx : ctx) ~snap regions =
     let st = Domain.DLS.get domain_store in
@@ -812,31 +805,27 @@ module Store = struct
             Bytes.fill b.mark 0 n '\000')
           b.area)
       st.boxes;
-    iter_rows st ctx (fun d _ b goff boff len ->
-        Array.blit (Hashtbl.find snap d.aname) goff b.data boff len);
+    List.iter
+      (fun (d : Stencil.array_decl) ->
+        let src = Hashtbl.find snap d.aname in
+        iter_rows st ctx d (fun b goff boff len -> Array.blit src goff b.data boff len))
+      ctx.prog.arrays;
     st
 
   let copy_out st (ctx : ctx) ~within =
-    let cur = ref None and cells = ref [] in
-    let flush () =
-      Option.iter
-        (fun g -> store_cells ctx ~grid:g ~cells:(List.rev !cells) ~via_shared:true)
-        !cur;
-      cells := []
-    in
-    iter_rows ~within st ctx (fun _ g b goff boff len ->
-        (match !cur with
-        | Some g' when g' == g -> ()
-        | _ ->
-            if !cells <> [] then flush ();
-            cur := Some g);
-        for i = 0 to len - 1 do
-          if Bytes.get b.mark (boff + i) <> '\000' then begin
-            g.data.(goff + i) <- b.data.(boff + i);
-            cells := (goff + i) :: !cells
-          end
-        done);
-    if !cells <> [] then flush ()
+    List.iter
+      (fun (d : Stencil.array_decl) ->
+        let g = Grid.find ctx.grids d.aname and cells = ref [] in
+        iter_rows ~within st ctx d (fun b goff boff len ->
+            for i = 0 to len - 1 do
+              if Bytes.get b.mark (boff + i) <> '\000' then begin
+                g.data.(goff + i) <- b.data.(boff + i);
+                cells := (goff + i) :: !cells
+              end
+            done);
+        if !cells <> [] then
+          store_cells ctx ~grid:g ~cells:(List.rev !cells) ~via_shared:true)
+      ctx.prog.arrays
 
   let[@inline never] outside aname =
     invalid_arg (Fmt.str "Common.Store: access to %s outside the block's box" aname)
