@@ -746,7 +746,10 @@ module Store = struct
         let r =
           {
             blo = Array.mapi (fun d l -> max 0 (l + a.offsets.(d))) region.blo;
-            bhi = Array.mapi (fun d h -> min (g.dims.(gbase + d) - 1) (h + a.offsets.(d))) region.bhi;
+            bhi =
+              Array.mapi
+                (fun d h -> min (g.dims.(gbase + d) - 1) (h + a.offsets.(d)))
+                region.bhi;
           }
         in
         if not (box_is_empty r) then begin
@@ -775,7 +778,10 @@ module Store = struct
             let gext = g.dims.(gbase + dim) and bext = area.bhi.(dim) - area.blo.(dim) + 1 in
             let boff_at x = (boff * bext) + x - area.blo.(dim) in
             if dim = ctx.dims - 1 then
-              f b ((goff * gext) + r.blo.(dim)) (boff_at r.blo.(dim)) (r.bhi.(dim) - r.blo.(dim) + 1)
+              f b
+                ((goff * gext) + r.blo.(dim))
+                (boff_at r.blo.(dim))
+                (r.bhi.(dim) - r.blo.(dim) + 1)
             else
               for x = r.blo.(dim) to r.bhi.(dim) do
                 go (dim + 1) ((goff * gext) + x) (boff_at x)

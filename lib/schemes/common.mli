@@ -137,7 +137,7 @@ module Store : sig
       the functional counterpart of the shared-memory copy-in the
       executors account. Buffers are per domain, sized to the largest box
       seen and reused across blocks, launches and runs, so a block
-      allocates nothing proportional to its volume. *)
+      allocates nothing per cell. *)
 
   type t
 

@@ -158,7 +158,8 @@ let run ?pool ?engine ?config prog env dev =
             Common.Store.load ctx ~snap
               (List.concat
                  (List.init hh_eff (fun j ->
-                      List.init ctx.k (fun si -> (ctx.stmts.(si), tt0v + j, regions.(j).(si))))))
+                      List.init ctx.k (fun si ->
+                          (ctx.stmts.(si), tt0v + j, regions.(j).(si))))))
           in
           (* redundant compute over the shrinking trapezoid *)
           for j = 0 to hh_eff - 1 do

@@ -92,7 +92,9 @@ let run ?pool ?engine ?(config = default_config) prog env dev =
         let store =
           Common.Store.load ~write_through:true ctx ~snap
             (List.init hh_eff (fun j ->
-                 (ctx.stmts.(0), t0 + j, clip ~xlo:(base_lo + (r * j)) ~xhi:(base_hi - (r * j)))))
+                 ( ctx.stmts.(0),
+                   t0 + j,
+                   clip ~xlo:(base_lo + (r * j)) ~xhi:(base_hi - (r * j)) )))
         in
         for j = 0 to hh_eff - 1 do
           exec_interval ~store ~tstep:(t0 + j) ~xlo:(base_lo + (r * j))

@@ -418,8 +418,6 @@ let suite =
       test_map_reduce_ordered;
     Alcotest.test_case "nested regions degrade to sequential" `Quick
       test_nested_region_degrades;
-    Alcotest.test_case "obs: span order survives a forced steal" `Quick
-      test_obs_order_forced_steal;
     Alcotest.test_case "obs: N-domain hammer merges exactly" `Quick
       test_obs_hammer;
     Alcotest.test_case "sim: parallel counters bit-identical" `Quick
@@ -435,4 +433,6 @@ let suite =
     Alcotest.test_case "fuzz: deterministic at jobs 1/2/4" `Slow
       test_fuzz_determinism;
     Alcotest.test_case "fuzz: exit criterion" `Quick test_fuzz_exit_criterion;
+    Alcotest.test_case "obs: span order survives a forced steal" `Quick
+      test_obs_order_forced_steal;
   ]

@@ -116,7 +116,9 @@ let rename_arrays (p : Stencil.t) names =
   {
     p with
     arrays =
-      List.map (fun (a : Stencil.array_decl) -> { a with aname = List.assoc a.aname map }) p.arrays;
+      List.map
+        (fun (a : Stencil.array_decl) -> { a with aname = List.assoc a.aname map })
+        p.arrays;
     stmts =
       List.map
         (fun (s : Stencil.stmt) -> { s with write = acc s.write; rhs = fexpr s.rhs })
@@ -254,14 +256,14 @@ let suite =
     Alcotest.test_case "hybrid tape vs ref, suite, jobs 1/2/4" `Quick
       test_hybrid_table3;
     Alcotest.test_case "classical schemes tape vs ref" `Quick test_other_schemes;
-    Alcotest.test_case "overtile counters independent of array names" `Quick
-      test_overtile_counters_name_independent;
-    Alcotest.test_case "overtile block execution allocation budget" `Quick
-      test_overtile_allocation_budget;
     Alcotest.test_case "shared class table: bit-identical at jobs 1/2/4" `Quick
       test_shared_cache_determinism;
     Alcotest.test_case "hybrid tape vs ref, 25 fuzzed programs" `Quick test_fuzzed;
     Alcotest.test_case "tile-class memoization fires" `Quick test_memoization_fires;
     Alcotest.test_case "sanitizer forces uncached execution" `Quick
       test_sanitizer_disables_memoization;
+    Alcotest.test_case "overtile counters independent of array names" `Quick
+      test_overtile_counters_name_independent;
+    Alcotest.test_case "overtile block execution allocation budget" `Quick
+      test_overtile_allocation_budget;
   ]
