@@ -9,7 +9,16 @@
    instead: for every suite program (split tiling: the 1D ones) at its
    test size and at a larger size with many interior blocks, on the
    GTX 470, at jobs 1 and 2, it prints every counter, the update and
-   block counts and a bit-exact digest of every grid. *)
+   block counts and a bit-exact digest of every grid.
+
+   The [hybrid] mode pins the hybrid executor the same way, exact and
+   with [~analytic:true], over every suite program at its test size and
+   at the larger size (48^2 x 12 is not a whole number of cache lines
+   per row), plus laplacian2d at 1024^2 x 16 analytic, whose working set
+   overflows the L2 so the order of the DRAM replay shows in the
+   counters. It adds the memoized, analytic and class counts.
+   [blit_rows] is left out: it counts how member rows are retired, not
+   what they compute. *)
 
 open Hextile_ir
 module Suite = Hextile_stencils.Suite
@@ -49,8 +58,11 @@ let grid_digest (g : Grid.t) =
   Array.iter (fun v -> Buffer.add_int64_le b (Int64.bits_of_float v)) g.data;
   Digest.to_hex (Digest.string (Buffer.contents b))
 
-let pin_result label (r : Common.result) =
+let pin_result ?(classes = false) label (r : Common.result) =
   Fmt.pr "%s updates=%d blocks=%d@." label r.updates r.blocks;
+  if classes then
+    Fmt.pr "%s memoized=%d analytic=%d classes=%d@." label r.blocks_memoized
+      r.blocks_analytic r.classes;
   Fmt.pr "%s counters %s@." label
     (String.concat " "
        (List.map (fun (k, v) -> Fmt.str "%s=%d" k v) (Counters.to_assoc r.counters)));
@@ -85,9 +97,38 @@ let pin_schemes () =
         [ Suite.test_params prog; larger_params prog ])
     Suite.all
 
+let pin_hybrid () =
+  let runs =
+    List.concat_map
+      (fun (prog : Stencil.t) ->
+        List.concat_map
+          (fun params -> [ (prog, params, false); (prog, params, true) ])
+          [ Suite.test_params prog; larger_params prog ])
+      Suite.all
+    @ [ (Suite.laplacian2d, [ ("N", 1024); ("T", 16) ], true) ]
+  in
+  List.iter
+    (fun ((prog : Stencil.t), params, analytic) ->
+      let env p = List.assoc p params in
+      let label =
+        Fmt.str "%s N%d.T%d %s" prog.name (env "N") (env "T")
+          (if analytic then "analytic" else "exact")
+      in
+      List.iter
+        (fun jobs ->
+          Par.with_pool ~jobs (fun pool ->
+              pin_result ~classes:true
+                (Fmt.str "%s jobs%d" label jobs)
+                (Hybrid_exec.run ~pool ~analytic prog env Device.gtx470)))
+        [ 1; 2 ])
+    runs
+
 let () =
   let which =
     if Array.length Sys.argv > 1 then Sys.argv.(1)
-    else invalid_arg "gen_golden: expected cuda | opencl | ptx | schemes"
+    else invalid_arg "gen_golden: expected cuda | opencl | ptx | schemes | hybrid"
   in
-  if which = "schemes" then pin_schemes () else List.iter (emit which) Suite.table3
+  match which with
+  | "schemes" -> pin_schemes ()
+  | "hybrid" -> pin_hybrid ()
+  | _ -> List.iter (emit which) Suite.table3
