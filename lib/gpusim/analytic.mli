@@ -1,8 +1,9 @@
 (** Counter scaling and the L2/DRAM model for the analytic (hierarchical)
     simulation mode.
 
-    The hybrid executor partitions each launch's blocks into tile
-    classes (equal [Hybrid_exec.class_key] ⇒ identical event streams up
+    The tile-class launcher ([Classsim]) partitions each launch's blocks
+    into tile classes (equal [Hybrid_exec] class keys ⇒ identical event
+    streams up
     to a per-region byte translation of [4·Δs00·stride0]). The analytic
     mode instance-executes one representative per interior class plus
     every boundary-clipped block, and derives the remaining blocks:
@@ -13,9 +14,9 @@
       ([4·stride0 mod line_bytes = 0]): coalescing runs shift by whole
       lines (line counts invariant), the per-block L1's set mapping is
       rotated bijectively (hit/miss sequence invariant), and shared
-      memory events carry base-independent conflict counts. The executor
-      checks this condition and falls back to the exact per-event
-      {!Sim.replay_stream} path when it fails.
+      memory events carry base-independent conflict counts. The launcher
+      checks this condition and falls back to exact memoized replay
+      ({!Sim.replay_stream}) when it fails.
     - {b DRAM traffic} depends on the shared cross-block L2 state, which
       a skipped block does not evolve. It is modelled by replaying each
       scaled block's {e compressed trace} — the first-touch-ordered set

@@ -477,10 +477,9 @@ let sync t =
    execution, with each global address translated by its region's byte
    delta; line ranges, coalescing and L1/L2 behaviour are recomputed
    from the translated addresses, so the accounting is exact at any
-   alignment. [Compute] events are handed raw to [compute], which owns
-   the translation (it already knows the deltas) and the tape
-   evaluation. *)
-let replay_stream t (s : Tileclass.stream) ~(deltas : int array) ~compute =
+   alignment. [Compute] events are skipped: the caller runs the class's
+   compiled compute rows itself. *)
+let replay_stream t (s : Tileclass.stream) ~(deltas : int array) =
   Tileclass.iter s ~f:(fun ev ->
       match ev with
       | Tileclass.Gload_run { region; addr; n } ->
@@ -500,8 +499,7 @@ let replay_stream t (s : Tileclass.stream) ~(deltas : int array) ~compute =
           c.shared_store_transactions <- c.shared_store_transactions + transactions
       | Flops { active; per_lane } -> flops_warp t ~active ~per_lane
       | Sync -> sync t
-      | Compute { stmt; tstep; wregion; waddr; sregions; srcs; n } ->
-          compute ~stmt ~tstep ~wregion ~waddr ~sregions ~srcs ~n);
+      | Compute _ -> ());
   Atomic.incr t.blocks_memoized;
   if Obs.enabled () then begin
     Obs.incr "sim.blocks_memoized";

@@ -41,8 +41,9 @@ type t = {
           launches *)
   analytic_blit_rows : int Atomic.t;
       (** recorded compute rows retired through coalesced bulk runs by
-          the analytic epilogue's grid reconstruction (the [blit_rows]
-          summary key) — deterministic at every jobs value *)
+          memoized members and the analytic epilogue's grid
+          reconstruction (the [blit_rows] summary key) — deterministic
+          at every jobs value *)
   analytic_replay_lines : int Atomic.t;
       (** L2 line probes issued by the batched compressed-trace DRAM
           replay (the [replay_lines] summary key) *)
@@ -105,8 +106,8 @@ val launch :
     with a full pool join between them, while counter absorption and L2
     trace replay still happen once, in canonical scrambled-position
     order, after the last wave — so waves change scheduling but never
-    results. The hybrid executor uses two waves to publish one
-    representative tile-class recording (wave 0) before every member
+    results. The tile-class launcher uses two waves to publish one
+    representative recording per class (wave 0) before every member
     block replays it (wave 1), without spinning or racing on the shared
     table. The sequential path ignores [wave_of]: the scrambled order
     already visits each class's representative first (see
@@ -179,7 +180,7 @@ val shared_store_lanes : ?replay:int -> t -> int array -> unit
 
 (** {2 Tile-class address-stream memoization}
 
-    The hybrid executor records one representative block per tile class
+    The tile-class launcher records one representative block per class
     with {!record_begin}/{!record_end} and replays the stream for the
     other blocks of the class with {!replay_stream}, translating global
     addresses by per-region byte deltas. Only the batched events above
@@ -210,26 +211,14 @@ val record_compute :
 (** Record the functional execution of one statement row (write base and
     per-source base byte addresses); takes ownership of [srcs]. *)
 
-val replay_stream :
-  t ->
-  Tileclass.stream ->
-  deltas:int array ->
-  compute:
-    (stmt:int ->
-    tstep:int ->
-    wregion:int ->
-    waddr:int ->
-    sregions:int array ->
-    srcs:int array ->
-    n:int ->
-    unit) ->
-  unit
-(** Replay a recorded stream with per-region byte deltas added to every
-    global address (line ranges and cache behaviour are recomputed, so
-    the replay is exact). [Compute] events are passed through raw —
-    [compute] translates the addresses itself and runs the statement's
-    tape. Bumps [blocks_memoized] and the [sim.blocks_memoized] /
-    [sim.addr_streams_replayed] Obs counters. *)
+val replay_stream : t -> Tileclass.stream -> deltas:int array -> unit
+(** Replay a recorded stream's memory, flop and barrier events with
+    per-region byte deltas added to every global address (line ranges
+    and cache behaviour are recomputed, so the replay is exact).
+    [Compute] events are skipped: the caller reproduces the grid writes
+    from the class's compiled rows ([Common.exec_rows] in the schemes'
+    tile-class launcher, [Classsim]). Bumps [blocks_memoized] and the
+    [sim.blocks_memoized] / [sim.addr_streams_replayed] Obs counters. *)
 
 val live_counters : t -> Counters.t
 (** The counter accumulator the calling domain is currently simulating

@@ -12,8 +12,8 @@
     rotates the bank assignment without changing the conflict count.
 
     Streams are recorded by [Sim.record_begin]/[record_end] and consumed
-    by [Sim.replay_stream]; the hybrid executor owns the per-class memo
-    table. *)
+    by [Sim.replay_stream]; the schemes' tile-class launcher
+    ([Classsim]) owns the per-class memo table. *)
 
 type ev =
   | Gload_run of { region : int; addr : int; n : int }

@@ -447,8 +447,7 @@ let run_tape (tape : Tape.t) ~datas ~bases ~n ~out ~out_base =
 
 (* Run one statement row through its tape: [n] lanes with per-source flat
    word bases [src_flats] (tape register order) writing from flat word
-   [wflat]: [Sim.replay_stream]'s [Compute] events (the replay
-   translates the recorded bases first). *)
+   [wflat]. The per-row reference for [compile_rows]/[exec_rows]. *)
 let exec_tape_row ctx ~stmt_idx ~wflat ~src_flats ~n =
   let c = compile_stmt ctx ctx.stmts.(stmt_idx) in
   match c.tape with
@@ -458,7 +457,7 @@ let exec_tape_row ctx ~stmt_idx ~wflat ~src_flats ~n =
         ~out_base:wflat;
       ignore (Atomic.fetch_and_add ctx.updates n)
 
-(* Pre-resolved compute rows for the analytic mode's scaled blocks: the
+(* Pre-resolved compute rows for memoized and derived class members: the
    per-row tape/grid/base lookups are paid once per tile class, and
    adjacent recorded rows that continue each other in memory are
    coalesced into long runs executed through the statement's fused
@@ -616,6 +615,8 @@ let exec_rows (ctx : ctx) { crows; cregs; cpoints; cinstrs; cblit } ~off =
     Obs.incr ~by:cblit "sim.blit_rows";
     ignore (Atomic.fetch_and_add ctx.sim.Sim.analytic_blit_rows cblit)
   end
+
+let points r = r.cpoints
 
 let rows_stats { crows; cblit; _ } =
   (Array.length crows, Array.fold_left (fun a r -> a + r.cmerged) 0 crows, cblit)

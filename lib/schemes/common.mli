@@ -62,8 +62,9 @@ type result = {
           launches (0 outside analytic mode) *)
   blit_rows : int;
       (** recorded compute rows retired through multi-row coalesced
-          (bulk-blit) runs by the analytic epilogue's grid
-          reconstruction; deterministic at every jobs value *)
+          (bulk-blit) runs by memoized members and the analytic
+          epilogue's grid reconstruction; deterministic at every jobs
+          value *)
   replay_lines : int;
       (** cache lines probed by the batched DRAM line replay;
           deterministic at every jobs value *)
@@ -224,23 +225,23 @@ val iter_box_rows : box -> f:(int array -> unit) -> unit
 
 val exec_tape_row :
   ctx -> stmt_idx:int -> wflat:int -> src_flats:int array -> n:int -> unit
-(** Functional replay of one memoized statement row: run statement
-    [stmt_idx]'s tape over [n] lanes with the given per-source flat word
-    bases (tape register order) writing from flat word [wflat], counting
-    the instances toward [ctx.updates]. Raises [Invalid_argument] if the
-    statement has no tape (recorded streams only contain [Compute]
-    events for tape-executed rows, so replay never hits that case). *)
+(** Oracle: the per-row reference that [test/test_blit.ml] checks
+    {!compile_rows}/{!exec_rows} against. Runs statement [stmt_idx]'s
+    tape over [n] lanes with the given per-source flat word bases (tape
+    register order) writing from flat word [wflat], counting the
+    instances toward [ctx.updates]. Raises [Invalid_argument] if the
+    statement has no tape. *)
 
 type crows
-(** Pre-resolved compute rows of one tile class: the analytic mode
-    compiles a representative's recorded [Compute] events once —
-    coalescing adjacent same-statement same-tstep rows whose write and
-    source bases continue each other exactly into long runs — and
-    replays every class member as bulk fused-plan ([Tape.exec_plan])
-    calls at a word offset (one scratch fetch and one updates-atomic per
-    block). Rows with gapped or non-ascending store patterns (e.g.
-    clipped boundary rows) stay single-row runs: the exact per-row
-    fallback. *)
+(** Pre-resolved compute rows of one tile class: the tile-class
+    launcher ([Classsim]) compiles a representative's recorded
+    [Compute] events once — coalescing adjacent same-statement
+    same-tstep rows whose write and source bases continue each other
+    exactly into long runs — and replays every memoized or analytically
+    derived class member as bulk fused-plan ([Tape.exec_plan]) calls at
+    a word offset (one scratch fetch and one updates-atomic per block).
+    Rows with gapped or non-ascending store patterns (e.g. clipped
+    boundary rows) stay single-row runs: the exact per-row fallback. *)
 
 val compile_rows : ctx -> (int * int * int * int array * int) list -> crows
 (** [(stmt_idx, tstep, wflat, src_flats, n)] per row. [tstep] is the
@@ -260,6 +261,9 @@ val exec_rows : ctx -> crows -> off:int -> unit
     guarantees the translated rows are in bounds — true for class
     members, whose exact execution touches the same cells. Counter
     effects are bit-identical to per-row 32-lane [Tape.exec] replay. *)
+
+val points : crows -> int
+(** Statement instances one {!exec_rows} call executes (Σ row lanes). *)
 
 val rows_stats : crows -> int * int * int
 (** [(runs, recorded_rows, blit_rows)] of a compiled class — run-shape

@@ -88,30 +88,6 @@ let align_offsets (t : Hybrid.t) ~reuse =
       Intutil.fmod (-base) 32
   end
 
-(* Tile-class memo state is a per-launch shared read-once/replay-many
-   context, not a per-domain table: class roles and representatives are
-   precomputed against the simulator's canonical block order before the
-   launch, the representative records its stream once (wave 0), and
-   every member block — on whatever domain it lands — replays the
-   published stream with its own translation (wave 1). One recording per
-   class per launch, at every jobs value, with identical memoized-block
-   counts; the wave join is the publication barrier, so no domain ever
-   spins on or races for an unpublished stream. *)
-
-(* Cross-launch class cache entry (analytic mode): everything needed to
-   derive a block of an equal-signature class in a later launch without
-   re-executing a representative — the recording rep's s0 origin (for the
-   translation delta), its exact per-block counter delta, its compressed
-   DRAM line runs and its fused-plan compute rows. *)
-type cached_class = {
-  c_s00 : int;
-  c_delta : Counters.t;
-  c_runs : int array;
-  c_crows : Common.crows;
-}
-
-let rec gcd a b = if b = 0 then a else gcd b (a mod b)
-
 let run ?pool ?engine ?(analytic = false) ?(name = "hybrid") ?config prog env dev =
   let ctx = Common.make_ctx ?engine prog env dev in
   let config = match config with Some c -> c | None -> default_config prog in
@@ -145,57 +121,6 @@ let run ?pool ?engine ?(analytic = false) ?(name = "hybrid") ?config prog env de
           ~offset_floats:(off_of rx))
       prog.arrays
   end;
-  (* Region table for address-stream memoization: blocks of one launch
-     differ only by a translation along s0, so every global address of a
-     same-class block is the representative's address plus a per-array
-     byte delta of 4·Δs00·stride0. Bases are read after alignment
-     registration so the deltas see the translated layout. *)
-  let regions =
-    Array.of_list
-      (List.map
-         (fun (d : Stencil.array_decl) -> Grid.find ctx.grids d.aname)
-         prog.arrays)
-  in
-  let rbases = Array.map (fun g -> Addrmap.base ctx.sim.addr g) regions in
-  let rlens = Array.map (fun (g : Grid.t) -> 4 * Array.length g.data) regions in
-  let stride0s =
-    Array.map
-      (fun (g : Grid.t) ->
-        let nd = Array.length g.dims in
-        let p = ref 1 in
-        for d = nd - dims + 1 to nd - 1 do
-          p := !p * g.dims.(d)
-        done;
-        !p)
-      regions
-  in
-  let region_of addr =
-    let r = ref (-1) in
-    let n = Array.length regions in
-    let i = ref 0 in
-    while !r < 0 && !i < n do
-      if addr >= rbases.(!i) && addr < rbases.(!i) + rlens.(!i) then r := !i;
-      incr i
-    done;
-    !r
-  in
-  let memo_ok = ctx.engine = Common.Tape && not (Sanitize.enabled ()) in
-  (* Analytic (hierarchical) mode additionally needs the class
-     translation to be a cache-bijection: one shared s0 stride across
-     every array region, moving same-class blocks by a whole number of
-     128 B lines. Then coalescing runs, the per-block L1's set mapping
-     and all shared-memory counts are translation-invariant, so a class
-     member's counter delta equals its representative's bit for bit and
-     population scaling is exact (see Gpusim.Analytic). When the
-     condition fails — 1D programs (stride 1) or extents not divisible
-     by 32 — the run silently degrades to the exact per-block memo
-     path. *)
-  let uniform_stride =
-    Array.length stride0s > 0
-    && Array.for_all (fun s -> s = stride0s.(0)) stride0s
-    && 4 * stride0s.(0) mod dev.Device.line_bytes = 0
-  in
-  let analytic_on = analytic && memo_ok && uniform_stride in
   (* Cross-launch class cache: classes recur across launches. Two blocks
      (of any launch) whose clip vectors match and whose [u0] agree modulo
      [k · lcm(folds)] run the same statement at every hexagon row with
@@ -211,9 +136,7 @@ let run ?pool ?engine ?(analytic = false) ?(name = "hybrid") ?config prog env de
     max 1 (List.length prog.stmts)
     * List.fold_left
         (fun acc (d : Stencil.array_decl) ->
-          match d.fold with
-          | Some f when f > 0 -> acc * f / gcd acc f
-          | _ -> acc)
+          match d.fold with Some f when f > 0 -> Intutil.lcm acc f | _ -> acc)
         1 prog.arrays
   in
   let sig_of_key (key : int array) =
@@ -221,7 +144,6 @@ let run ?pool ?engine ?(analytic = false) ?(name = "hybrid") ?config prog env de
     s.(0) <- Intutil.fmod key.(0) sig_mod;
     s
   in
-  let cls_cache : (int array, cached_class) Hashtbl.t = Hashtbl.create 64 in
   let stmts = ctx.stmts in
   (* register tiling: reads whose cell was read (or produced) by the
      previous unrolled iteration along the sweep direction stay in
@@ -252,62 +174,72 @@ let run ?pool ?engine ?(analytic = false) ?(name = "hybrid") ?config prog env de
             Some l
     end
   in
-  (* Iterate the instance rows of one tile in execution order: for each
-     valid t' step, every (prefix point, x-range) with x the innermost
-     dimension. [fa] runs once per t' step (barrier point). *)
-  let iter_tile ~u0 ~s00 ~(cls : int array) ~on_step ~on_row =
+  (* The hexagon rows of a tile at [u0] that lie in the time domain:
+     [f ~a ~u ~si ~rb_lo ~rb_hi] per t' step [a], with its statement and
+     s0 range relative to the tile's s0 origin. *)
+  let iter_rows ~u0 f =
     for a = 0 to height - 1 do
       let u = u0 + a in
-      if u >= 0 && u < ubound then begin
+      if u >= 0 && u < ubound then
         match Hexagon.row_range t.hex ~a with
         | None -> ()
-        | Some (rb_lo, rb_hi) ->
-            let si = Hybrid.stmt_of_u t u in
-            let tstep = Hybrid.tstep_of_u t u in
-            let stmt = stmts.(si) in
-            let slo = ctx.lo.(si) and shi = ctx.hi.(si) in
-            let s0lo = max (s00 + rb_lo) slo.(0) and s0hi = min (s00 + rb_hi) shi.(0) in
-            if s0lo <= s0hi then begin
-              (* classical windows, clipped to the statement domain *)
-              let wins =
-                Array.init (dims - 1) (fun i ->
-                    let c = t.classical.(i) in
-                    let lo = Classical.si_of c ~u:a ~tile:cls.(i) ~intra:0 in
-                    let hi = Classical.si_of c ~u:a ~tile:cls.(i) ~intra:(t.w.(i + 1) - 1) in
-                    (max lo slo.(i + 1), min hi shi.(i + 1)))
-              in
-              if Array.for_all (fun (l, h2) -> l <= h2) wins then begin
-                on_step ();
-                if dims = 1 then begin
-                  let point = [| s0lo |] in
-                  let xs = Array.init (s0hi - s0lo + 1) (fun i -> s0lo + i) in
-                  on_row ~stmt ~tstep ~point ~xs
-                end
-                else begin
-                  (* prefix dims: s0 and windows 1..dims-2; x = last dim *)
-                  let xlo, xhi = wins.(dims - 2) in
-                  let xs = Array.init (xhi - xlo + 1) (fun i -> xlo + i) in
-                  let point = Array.make dims 0 in
-                  let rec go d =
-                    if d = dims - 1 then on_row ~stmt ~tstep ~point ~xs
-                    else if d = 0 then
-                      for s0 = s0lo to s0hi do
-                        point.(0) <- s0;
-                        go 1
-                      done
-                    else
-                      let l, h2 = wins.(d - 1) in
-                      for v = l to h2 do
-                        point.(d) <- v;
-                        go (d + 1)
-                      done
-                  in
-                  go 0
-                end
-              end
-            end
-      end
+        | Some (rb_lo, rb_hi) -> f ~a ~u ~si:(Hybrid.stmt_of_u t u) ~rb_lo ~rb_hi
     done
+  in
+  (* classical tile ranges: a run constant *)
+  let ranges =
+    Array.init (dims - 1) (fun i ->
+        Classical.tile_range t.classical.(i) ~u_max:(height - 1) ~lo:glo.(i + 1)
+          ~hi:ghi.(i + 1))
+  in
+  (* Iterate the instance rows of one tile in execution order: for each
+     valid t' step, every (prefix point, x-range) with x the innermost
+     dimension. [on_step] runs once per t' step (barrier point). *)
+  let iter_tile ~u0 ~s00 ~(cls : int array) ~on_step ~on_row =
+    iter_rows ~u0 (fun ~a ~u ~si ~rb_lo ~rb_hi ->
+        let tstep = Hybrid.tstep_of_u t u in
+        let stmt = stmts.(si) in
+        let slo = ctx.lo.(si) and shi = ctx.hi.(si) in
+        let s0lo = max (s00 + rb_lo) slo.(0) and s0hi = min (s00 + rb_hi) shi.(0) in
+        if s0lo <= s0hi then begin
+          (* classical windows, clipped to the statement domain *)
+          let wins =
+            Array.init (dims - 1) (fun i ->
+                let c = t.classical.(i) in
+                let lo = Classical.si_of c ~u:a ~tile:cls.(i) ~intra:0 in
+                let hi = Classical.si_of c ~u:a ~tile:cls.(i) ~intra:(t.w.(i + 1) - 1) in
+                (max lo slo.(i + 1), min hi shi.(i + 1)))
+          in
+          if Array.for_all (fun (l, h2) -> l <= h2) wins then begin
+            on_step ();
+            if dims = 1 then begin
+              let point = [| s0lo |] in
+              let xs = Array.init (s0hi - s0lo + 1) (fun i -> s0lo + i) in
+              on_row ~stmt ~tstep ~point ~xs
+            end
+            else begin
+              (* prefix dims: s0 and windows 1..dims-2; x = last dim *)
+              let xlo, xhi = wins.(dims - 2) in
+              let xs = Array.init (xhi - xlo + 1) (fun i -> xlo + i) in
+              let point = Array.make dims 0 in
+              let rec go d =
+                if d = dims - 1 then on_row ~stmt ~tstep ~point ~xs
+                else if d = 0 then
+                  for s0 = s0lo to s0hi do
+                    point.(0) <- s0;
+                    go 1
+                  done
+                else
+                  let l, h2 = wins.(d - 1) in
+                  for v = l to h2 do
+                    point.(d) <- v;
+                    go (d + 1)
+                  done
+              in
+              go 0
+            end
+          end
+        end)
   in
   (* process one (T, phase, S0, S1..Sn) tile; returns its layout *)
   let shared_warned = Atomic.make false in
@@ -454,78 +386,53 @@ let run ?pool ?engine ?(analytic = false) ?(name = "hybrid") ?config prog env de
   let class_key ~u0 ~s00 =
     let key = Array.make (1 + (2 * height)) (-2) in
     key.(0) <- u0;
-    for a = 0 to height - 1 do
-      let u = u0 + a in
-      if u >= 0 && u < ubound then
-        match Hexagon.row_range t.hex ~a with
-        | None -> ()
-        | Some (rb_lo, rb_hi) ->
-            let si = Hybrid.stmt_of_u t u in
-            let slo = ctx.lo.(si) and shi = ctx.hi.(si) in
-            key.(1 + (2 * a)) <- max 0 (slo.(0) - (s00 + rb_lo));
-            key.(2 + (2 * a)) <- max 0 (s00 + rb_hi - shi.(0))
-    done;
+    iter_rows ~u0 (fun ~a ~u:_ ~si ~rb_lo ~rb_hi ->
+        key.(1 + (2 * a)) <- max 0 (ctx.lo.(si).(0) - (s00 + rb_lo));
+        key.(2 + (2 * a)) <- max 0 (s00 + rb_hi - ctx.hi.(si).(0)));
     key
   in
-  (* Closed-form self-check of a recorded class against its stream: the
-     tile model's per-class counts must match the instanced
-     representative exactly — Σ [Compute] lanes = Σ per live row of
-     (clipped s0 length × inner-domain coverage), and [Sync] events =
-     copy-in barriers (one per classical tile) + steps whose windows are
-     non-empty. Rows the key records as fully clipped (length ≤ 0 after
-     subtracting the left/right clips) contribute nothing. A mismatch
-     means the class decomposition that both the population scaling and
-     the cross-launch cache rest on is wrong, so fail loudly rather than
-     degrade. [points]/[syncs] are the stream's recorded counts. *)
-  let check_class ~lname ~(key : int array) ~points ~syncs =
-    let cu0 = key.(0) in
-    let tuples = ref 1 in
-    for i = 0 to dims - 2 do
-      let lo, hi =
-        Classical.tile_range t.classical.(i) ~u_max:(height - 1)
-          ~lo:glo.(i + 1) ~hi:ghi.(i + 1)
-      in
-      tuples := !tuples * (hi - lo + 1)
-    done;
-    let exp_points = ref 0 and exp_steps = ref 0 in
-    for a = 0 to height - 1 do
-      if key.(1 + (2 * a)) >= 0 then begin
-        let u = cu0 + a in
-        let si = Hybrid.stmt_of_u t u in
-        let slo = ctx.lo.(si) and shi = ctx.hi.(si) in
-        match Hexagon.row_range t.hex ~a with
-        | None -> ()
-        | Some (rb_lo, rb_hi) ->
-            let len =
-              rb_hi - rb_lo + 1 - key.(1 + (2 * a)) - key.(2 + (2 * a))
-            in
-            if len > 0 then begin
-              let inner = ref 1 and steps = ref 1 in
-              for i = 0 to dims - 2 do
-                inner :=
-                  !inner * Tile_model.coverage ~lo:slo.(i + 1) ~hi:shi.(i + 1);
-                steps :=
-                  !steps
-                  * Tile_model.tiles_nonempty t.classical.(i) ~u:a
-                      ~lo:slo.(i + 1) ~hi:shi.(i + 1)
-              done;
-              exp_points := !exp_points + (len * !inner);
-              exp_steps := !exp_steps + !steps
-            end
-      end
-    done;
-    let exp_syncs = (if strat.use_shared then !tuples else 0) + !exp_steps in
-    if points <> !exp_points then
-      failwith
-        (Fmt.str
-           "%s: analytic class model mismatch: %d compute lanes recorded, %d \
-            expected"
-           lname points !exp_points);
-    if syncs <> exp_syncs then
-      failwith
-        (Fmt.str
-           "%s: analytic class model mismatch: %d syncs recorded, %d expected"
-           lname syncs exp_syncs)
+  (* Closed-form (compute lanes, syncs) of a class, which the tile
+     model says the instanced representative must record exactly:
+     Σ [Compute] lanes = Σ per live row of (clipped s0 length ×
+     inner-domain coverage), and [Sync] events = copy-in barriers (one
+     per classical tile) + steps whose windows are non-empty. Rows the
+     key records as fully clipped (length ≤ 0 after subtracting the
+     left/right clips) contribute nothing. A mismatch means the class
+     decomposition that both the population scaling and the cross-launch
+     cache rest on is wrong, so Classsim fails loudly rather than
+     degrade. *)
+  let class_model (key : int array) =
+    let tuples = Array.fold_left (fun n (lo, hi) -> n * (hi - lo + 1)) 1 ranges in
+    let points = ref 0 and steps = ref 0 in
+    iter_rows ~u0:key.(0) (fun ~a ~u:_ ~si ~rb_lo ~rb_hi ->
+        let len = rb_hi - rb_lo + 1 - key.(1 + (2 * a)) - key.(2 + (2 * a)) in
+        if len > 0 then begin
+          let slo = ctx.lo.(si) and shi = ctx.hi.(si) in
+          let inner = ref 1 and nonempty = ref 1 in
+          for i = 0 to dims - 2 do
+            inner := !inner * Tile_model.coverage ~lo:slo.(i + 1) ~hi:shi.(i + 1);
+            nonempty :=
+              !nonempty
+              * Tile_model.tiles_nonempty t.classical.(i) ~u:a ~lo:slo.(i + 1)
+                  ~hi:shi.(i + 1)
+          done;
+          points := !points + (len * !inner);
+          steps := !steps + !nonempty
+        end);
+    (!points, (if strat.use_shared then tuples else 0) + !steps)
+  in
+  (* a class is interior when no hexagon row is clipped in s0; clipped
+     classes are singletons within a launch (a positive clip pins s00),
+     so only interior classes have members to derive *)
+  let interior (key : int array) =
+    not (Array.exists (fun c -> c > 0) (Array.sub key 1 (Array.length key - 1)))
+  in
+  let classes =
+    Classsim.create ctx
+      ~analytic:
+        (if analytic then
+           Some { Classsim.signature = sig_of_key; interior; model = class_model }
+         else None)
   in
   (* host loop: time tiles x phases *)
   let launch_phase ~tt ~phase =
@@ -541,13 +448,8 @@ let run ?pool ?engine ?(analytic = false) ?(name = "hybrid") ?config prog env de
         let origin_of b =
           Hex_schedule.tile_origin t.hs ~phase ~tt ~s_tile:(s0_lo + b)
         in
-        let exec_block ~u0 ~s00 =
-          (* classical tile ranges *)
-          let ranges =
-            Array.init (dims - 1) (fun i ->
-                Classical.tile_range t.classical.(i) ~u_max:(height - 1)
-                  ~lo:glo.(i + 1) ~hi:ghi.(i + 1))
-          in
+        let exec_block b =
+          let u0, s00 = origin_of b in
           let cls = Array.map fst ranges in
           let prev = ref None in
           let rec loop d =
@@ -567,395 +469,12 @@ let run ?pool ?engine ?(analytic = false) ?(name = "hybrid") ?config prog env de
           if dims = 1 then ignore (process_tile ~u0 ~s00 ~cls ~prev:None)
           else loop 0
         in
-        if analytic_on then begin
-          (* ---- analytic (hierarchical) launch --------------------------
-             Enumerate every block's class up front without executing
-             anything; instance-execute one recording representative per
-             class whose signature the cross-launch cache has not seen,
-             and derive everything else in the launch epilogue's
-             three-stage fast path: (1) counters by population scaling of
-             the representative's exact delta, (2) DRAM by batched
-             sorted-line-run replay through the shared L2 in canonical
-             block order (sequential — the L2 is order-sensitive state),
-             (3) grids by bulk fused-plan blits of the representative's
-             coalesced compute rows at each member's word offset
-             (parallel — disjoint writes, commutative counters). The
-             live set and the cache's evolution are fixed before the
-             launch, so everything derived is identical at every --jobs
-             value. *)
-          let keytbl : (int array, int) Hashtbl.t = Hashtbl.create 16 in
-          let nclasses = ref 0 in
-          let rkeys = ref [] and rreps = ref [] in
-          let role = Array.make blocks (-1) in
-          for b = 0 to blocks - 1 do
-            let u0b, s00 = origin_of b in
-            let key = class_key ~u0:u0b ~s00 in
-            match Hashtbl.find_opt keytbl key with
-            | Some cid -> role.(b) <- cid
-            | None ->
-                let cid = !nclasses in
-                incr nclasses;
-                Hashtbl.add keytbl key cid;
-                rkeys := key :: !rkeys;
-                rreps := b :: !rreps;
-                role.(b) <- cid
-          done;
-          let nclasses = !nclasses in
-          let ckey = Array.of_list (List.rev !rkeys) in
-          let crep = Array.of_list (List.rev !rreps) in
-          let members = Array.make nclasses [] in
-          for b = blocks - 1 downto 0 do
-            if crep.(role.(b)) <> b then
-              members.(role.(b)) <- b :: members.(role.(b))
-          done;
-          (* a class is scaled when it is interior (no s0 clipping
-             anywhere) and has members beyond its representative;
-             clipped classes are singletons within a launch (a positive
-             clip pins s00), so only interior classes have members *)
-          let scaled =
-            Array.init nclasses (fun cid ->
-                members.(cid) <> []
-                &&
-                let key = ckey.(cid) in
-                let ok = ref true in
-                for i = 1 to Array.length key - 1 do
-                  if key.(i) > 0 then ok := false
-                done;
-                !ok)
-          in
-          let csig = Array.init nclasses (fun cid -> sig_of_key ckey.(cid)) in
-          let chit =
-            Array.init nclasses (fun cid -> Hashtbl.find_opt cls_cache csig.(cid))
-          in
-          let nhits =
-            Array.fold_left
-              (fun a h -> if Option.is_some h then a + 1 else a)
-              0 chit
-          in
-          if nhits > 0 then Obs.incr ~by:nhits "sim.class_cache_hits";
-          let rep_stream = Array.make nclasses None in
-          let rep_delta = Array.make nclasses None in
-          let post () =
-            let ep0 = Unix.gettimeofday () in
-            ignore (Atomic.fetch_and_add ctx.sim.tile_classes nclasses);
-            Obs.incr ~by:nclasses "sim.tile_classes";
-            (* --- stage 1 (parallel): per-class derivation prep ---
-               Compress each fresh recording into its sorted DRAM line
-               runs and fused-plan compute rows, and count its stream's
-               compute lanes and syncs for the closed-form model check.
-               Pure per-class work; results are absorbed in class-id
-               order below, so the cache and counters evolve identically
-               at every jobs value. *)
-            let fresh =
-              Array.of_list
-                (List.filter
-                   (fun cid -> Option.is_some rep_stream.(cid))
-                   (List.init nclasses (fun cid -> cid)))
-            in
-            let prep cid =
-              let stream = Option.get rep_stream.(cid) in
-              let runs =
-                Analytic.compress_lines
-                  (Analytic.lines_of_stream stream
-                     ~line_bytes:dev.Device.line_bytes)
-              in
-              let rows = ref [] and points = ref 0 and syncs = ref 0 in
-              Tileclass.iter stream ~f:(function
-                | Tileclass.Compute
-                    { stmt; tstep; wregion; waddr; sregions; srcs; n } ->
-                    points := !points + n;
-                    let wflat = (waddr - rbases.(wregion)) / 4 in
-                    let sf =
-                      Array.mapi
-                        (fun i s -> (s - rbases.(sregions.(i))) / 4)
-                        srcs
-                    in
-                    rows := (stmt, tstep, wflat, sf, n) :: !rows
-                | Tileclass.Sync -> incr syncs
-                | _ -> ());
-              let crows = Common.compile_rows ctx (List.rev !rows) in
-              (runs, crows, !points, !syncs)
-            in
-            let preps =
-              match pool with
-              | Some p when Par.jobs p > 1 && Array.length fresh > 1 ->
-                  Par.map p prep fresh
-              | _ -> Array.map prep fresh
-            in
-            (* absorb: validate, publish to the cross-launch cache, and
-               pick the derivation source for every class *)
-            let deriv = Array.make nclasses None in
-            Array.iteri
-              (fun i cid ->
-                let runs, crows, points, syncs = preps.(i) in
-                check_class ~lname ~key:ckey.(cid) ~points ~syncs;
-                let _, rep_s00 = origin_of crep.(cid) in
-                if not (Hashtbl.mem cls_cache csig.(cid)) then
-                  Hashtbl.add cls_cache csig.(cid)
-                    {
-                      c_s00 = rep_s00;
-                      c_delta = Option.get rep_delta.(cid);
-                      c_runs = runs;
-                      c_crows = crows;
-                    };
-                if scaled.(cid) then
-                  (* fresh rep ran live: derive the members only *)
-                  deriv.(cid) <- Some (runs, crows, rep_s00, false))
-              fresh;
-            for cid = 0 to nclasses - 1 do
-              match chit.(cid) with
-              | Some c ->
-                  (* cached signature: derive every block, rep included *)
-                  deriv.(cid) <- Some (c.c_runs, c.c_crows, c.c_s00, true)
-              | None -> ()
-            done;
-            (* counters: population-scale each derived class's delta *)
-            let nderived = ref 0 in
-            for cid = 0 to nclasses - 1 do
-              match deriv.(cid) with
-              | Some (_, _, _, with_rep) ->
-                  let m =
-                    List.length members.(cid) + if with_rep then 1 else 0
-                  in
-                  let delta =
-                    match chit.(cid) with
-                    | Some c -> c.c_delta
-                    | None -> Option.get rep_delta.(cid)
-                  in
-                  Analytic.scale_into ctx.sim.total ~delta ~times:m;
-                  nderived := !nderived + m
-              | None -> ()
-            done;
-            (* invalidated recordings (a per-lane fallback row): run the
-               members live in the epilogue — exact, just not scaled *)
-            for cid = 0 to nclasses - 1 do
-              if
-                scaled.(cid)
-                && Option.is_none chit.(cid)
-                && Option.is_none rep_stream.(cid)
-              then
-                List.iter
-                  (fun b ->
-                    let u0b, s00 = origin_of b in
-                    L2.reset ctx.sim.l1;
-                    exec_block ~u0:u0b ~s00)
-                  members.(cid)
-            done;
-            let t1 = Unix.gettimeofday () in
-            ctx.sim.analytic_derive_s <-
-              ctx.sim.analytic_derive_s +. (t1 -. ep0);
-            (* --- stage 2 (sequential): batched DRAM line replay ---
-               The shared L2 is order-sensitive state: replay every
-               derived block's translated line runs in the simulator's
-               canonical block order, on the main domain only. *)
-            if !nderived > 0 then begin
-              Tl.begin_ ~arg:(float_of_int !nderived) "sim.analytic_dram";
-              Array.iter
-                (fun b ->
-                  let cid = role.(b) in
-                  match deriv.(cid) with
-                  | Some (runs, _, src_s00, with_rep)
-                    when with_rep || crep.(cid) <> b ->
-                      let _, s00 = origin_of b in
-                      let ds = s00 - src_s00 in
-                      Analytic.replay_line_runs ctx.sim runs
-                        ~dline:(ds * stride0s.(0) * 4 / dev.Device.line_bytes)
-                  | _ -> ())
-                (Sim.block_order ~blocks);
-              Tl.end_ ()
-            end;
-            let t2 = Unix.gettimeofday () in
-            ctx.sim.analytic_dram_s <- ctx.sim.analytic_dram_s +. (t2 -. t1);
-            (* --- stage 3 (parallel): bulk grid reconstruction ---
-               Derived blocks write disjoint grid cells and the run
-               counters are commutative atomics, so the flattened
-               (class, block) blit tasks fan out over the pool with
-               bit-identical grids at every jobs value. *)
-            let gtasks = ref [] in
-            for cid = nclasses - 1 downto 0 do
-              match deriv.(cid) with
-              | Some (_, crows, src_s00, with_rep) ->
-                  let push b =
-                    let _, s00 = origin_of b in
-                    gtasks :=
-                      (crows, (s00 - src_s00) * stride0s.(0)) :: !gtasks
-                  in
-                  List.iter push members.(cid);
-                  if with_rep then push crep.(cid)
-              | None -> ()
-            done;
-            let gtasks = Array.of_list !gtasks in
-            if Array.length gtasks > 0 then begin
-              Tl.begin_
-                ~arg:(float_of_int (Array.length gtasks))
-                "sim.analytic_grids";
-              let run_task (crows, off) = Common.exec_rows ctx crows ~off in
-              (match pool with
-              | Some p when Par.jobs p > 1 && Array.length gtasks > 1 ->
-                  Par.iter p run_task gtasks
-              | _ -> Array.iter run_task gtasks);
-              Tl.end_ ()
-            end;
-            ignore (Atomic.fetch_and_add ctx.sim.blocks_analytic !nderived);
-            Obs.incr ~by:!nderived "sim.blocks_analytic";
-            let t3 = Unix.gettimeofday () in
-            ctx.sim.analytic_grids_s <-
-              ctx.sim.analytic_grids_s +. (t3 -. t2);
-            ctx.sim.analytic_epilogue_s <-
-              ctx.sim.analytic_epilogue_s +. (t3 -. ep0)
-          in
-          Sim.launch ?pool ~post ctx.sim ~name:lname ~blocks
-            ~threads:config.threads ~shared_bytes:0
-            ~f:(fun b ->
-              let u0b, s00 = origin_of b in
-              let cid = role.(b) in
-              if Option.is_some chit.(cid) then
-                (* cached class: every block derived in the epilogue *)
-                ()
-              else if crep.(cid) = b then begin
-                (* fresh representative: record the stream and capture
-                   the block's exact counter delta (the active
-                   accumulator is only mutated by this domain) *)
-                let before = Counters.copy (Sim.live_counters ctx.sim) in
-                Sim.record_begin ctx.sim ~region_of;
-                (match exec_block ~u0:u0b ~s00 with
-                | () -> rep_stream.(cid) <- Sim.record_end ctx.sim
-                | exception e ->
-                    ignore (Sim.record_end ctx.sim);
-                    raise e);
-                rep_delta.(cid) <-
-                  Some (Counters.diff (Sim.live_counters ctx.sim) before)
-              end
-              else if scaled.(cid) then
-                (* scaled member — derived in the epilogue *)
-                ()
-              else exec_block ~u0:u0b ~s00)
-        end
-        else if not memo_ok then
-          Sim.launch ?pool ctx.sim ~name:lname ~blocks ~threads:config.threads
-            ~shared_bytes:0
-            ~f:(fun b ->
-              let u0, s00 = origin_of b in
-              exec_block ~u0 ~s00)
-        else begin
-          (* ---- memoized (tape) launch ---------------------------------
-             Classify every block against the simulator's canonical
-             scrambled order, so each class's representative is the
-             first block of the class to execute at jobs=1 — and, via
-             the wave split below, the recording exists before any
-             member runs at every jobs value. The publish-once [pub]
-             array is the shared read-once/replay-many context: written
-             by the representative's domain during wave 0, read by
-             every member during wave 1 (the wave join orders the two). *)
-          let order = Sim.block_order ~blocks in
-          let keytbl : (int array, int) Hashtbl.t = Hashtbl.create 16 in
-          let role = Array.make blocks (-1) in
-          let rreps = ref [] and nclasses = ref 0 in
-          Array.iter
-            (fun b ->
-              let u0b, s00 = origin_of b in
-              let key = class_key ~u0:u0b ~s00 in
-              match Hashtbl.find_opt keytbl key with
-              | Some cid -> role.(b) <- cid
-              | None ->
-                  let cid = !nclasses in
-                  incr nclasses;
-                  Hashtbl.add keytbl key cid;
-                  rreps := b :: !rreps;
-                  role.(b) <- cid)
-            order;
-          let crep = Array.of_list (List.rev !rreps) in
-          let rep_s00 = Array.map (fun b -> snd (origin_of b)) crep in
-          let pub :
-              (Tileclass.stream * Common.crows option) option array =
-            Array.make !nclasses None
-          in
-          let noop ~stmt:_ ~tstep:_ ~wregion:_ ~waddr:_ ~sregions:_ ~srcs:_
-              ~n:_ =
-            ()
-          in
-          Sim.launch ?pool ctx.sim ~name:lname ~blocks ~threads:config.threads
-            ~shared_bytes:0
-            ~wave_of:(fun b -> if crep.(role.(b)) = b then 0 else 1)
-            ~f:(fun b ->
-              let u0b, s00 = origin_of b in
-              let cid = role.(b) in
-              if crep.(cid) = b then begin
-                Sim.record_begin ctx.sim ~region_of;
-                match exec_block ~u0:u0b ~s00 with
-                | () -> (
-                    match Sim.record_end ctx.sim with
-                    | Some stream ->
-                        (* under a uniform stride, compile the stream's
-                           compute rows once per class: members then
-                           replay memory events with a no-op callback
-                           and run the compiled rows at a word offset,
-                           with no per-event closure work or boxing *)
-                        let crows =
-                          if not uniform_stride then None
-                          else begin
-                            let rows = ref [] in
-                            Tileclass.iter stream ~f:(function
-                              | Tileclass.Compute
-                                  {
-                                    stmt;
-                                    tstep;
-                                    wregion;
-                                    waddr;
-                                    sregions;
-                                    srcs;
-                                    n;
-                                  } ->
-                                  let wflat = (waddr - rbases.(wregion)) / 4 in
-                                  let sf =
-                                    Array.mapi
-                                      (fun i s ->
-                                        (s - rbases.(sregions.(i))) / 4)
-                                      srcs
-                                  in
-                                  rows := (stmt, tstep, wflat, sf, n) :: !rows
-                              | _ -> ());
-                            Some (Common.compile_rows ctx (List.rev !rows))
-                          end
-                        in
-                        pub.(cid) <- Some (stream, crows)
-                    | None -> ())
-                | exception e ->
-                    ignore (Sim.record_end ctx.sim);
-                    raise e
-              end
-              else
-                match pub.(cid) with
-                | Some (stream, crows) -> (
-                    let ds = s00 - rep_s00.(cid) in
-                    let deltas = Array.map (fun st -> 4 * ds * st) stride0s in
-                    match crows with
-                    | Some crows ->
-                        Sim.replay_stream ctx.sim stream ~deltas ~compute:noop;
-                        Common.exec_rows ctx crows ~off:(ds * stride0s.(0))
-                    | None ->
-                        Sim.replay_stream ctx.sim stream ~deltas
-                          ~compute:(fun
-                              ~stmt ~tstep:_ ~wregion ~waddr ~sregions ~srcs ~n
-                            ->
-                            let wflat =
-                              (waddr + deltas.(wregion) - rbases.(wregion)) / 4
-                            in
-                            let src_flats =
-                              Array.init (Array.length srcs) (fun i ->
-                                  (srcs.(i) + deltas.(sregions.(i))
-                                  - rbases.(sregions.(i)))
-                                  / 4)
-                            in
-                            Common.exec_tape_row ctx ~stmt_idx:stmt ~wflat
-                              ~src_flats ~n))
-                | None ->
-                    (* the representative's recording was invalidated (a
-                       per-lane fallback row): members run live — same
-                       counters, nothing memoized, and no domain ever
-                       re-attempts the recording *)
-                    exec_block ~u0:u0b ~s00)
-        end
+        Classsim.launch ?pool classes ~name:lname ~blocks ~threads:config.threads
+          ~key:(fun b ->
+            let u0, s00 = origin_of b in
+            class_key ~u0 ~s00)
+          ~s00:(fun b -> snd (origin_of b))
+          ~exec:exec_block
       end
     end
   in

@@ -52,8 +52,13 @@ type config = {
 }
 
 val default_config : Stencil.t -> config
-(** Paper-style sizes: for 3D the Table 4 choice (h=2, w=(7,10,32)); for
-    2D h=3, w=(4,32); for 1D h=3, w0=16; threads 256 (320 for 3D). *)
+(** Paper-style sizes. Hexagon height h is 3 in 1D and 2D and 1 in 3D,
+    each rounded up so that h+1 is a multiple of the statement count;
+    widths are w0=16 (1D), w=(4,32) (2D) and w=(4,6,32) (3D, 32 on any
+    further dimension); 64, 256 and 192 threads. The 3D default is not
+    Table 4's h=2, w=(7,10,32) with 320 threads: that tile's
+    rectangular-box shared allocation exceeds the device limit, so it is
+    requested through [config] instead. *)
 
 val run :
   ?pool:Hextile_par.Par.pool ->
@@ -77,10 +82,11 @@ val run :
     full instance execution for boundary-clipped classes. Counters are
     bit-identical to the exact simulator except the two DRAM fields,
     whose relative error is bounded by
-    {!Hextile_gpusim.Analytic.dram_error_bound}. The mode silently
-    degrades to the exact memoized path when the program's regions do
-    not share a single line-aligned s0 stride (the condition under which
-    class translation is a cache bijection), or when the [Ref] engine or
-    the sanitizer is active; [Common.result.blocks_analytic] reports how
-    many blocks were scaled. Results remain bit-identical across
-    [--jobs] values. *)
+    {!Hextile_gpusim.Analytic.dram_error_bound}. The launch modes are
+    {!Classsim}'s: analytic degrades to exact memoized replay when the
+    shared s0 stride is not a whole number of cache lines (the condition
+    under which class translation is a cache bijection), and both run
+    every block live when the arrays' s0 strides differ or the [Ref]
+    engine or the sanitizer is active; [Common.result.blocks_analytic]
+    reports how many blocks were scaled. Results remain bit-identical
+    across [--jobs] values. *)

@@ -251,6 +251,42 @@ let test_sanitizer_disables_memoization () =
         Alcotest.failf "sanitized run: array %s differs" aname)
     r.grids
 
+(* Members replay the representative's compiled rows at one word offset
+   for every array, so memoization needs all arrays to share one s0
+   stride. Here the read-only [C] is declared 8 wider than the written
+   [A]: the hybrid scheme must run every block live (no memoized and,
+   with [~analytic:true], no derived blocks) and still match the
+   reference bit for bit at jobs 1 and 2. *)
+let test_unequal_strides_run_live () =
+  let src =
+    {|float A[2][N][N];
+float C[N+8][N+8];
+for (t = 0; t < T; t++)
+  for (i = 1; i < N - 1; i++)
+    for (j = 1; j < N - 1; j++)
+      A[(t+1)%2][i][j] = 0.25f * (A[t%2][i+1][j] + A[t%2][i-1][j] +
+        C[i][j+1] + C[i][j-1]);
+|}
+  in
+  let prog =
+    match Hextile_frontend.Front.parse_string ~name:"strides" src with
+    | Ok p -> p
+    | Error m -> Alcotest.failf "parse error: %s" m
+  in
+  let env p = List.assoc p [ ("N", 64); ("T", 8) ] in
+  let ref_r = hybrid ~engine:Common.Ref prog env in
+  List.iter
+    (fun jobs ->
+      Par.with_pool ~jobs (fun pool ->
+          let name = Fmt.str "strides/jobs%d" jobs in
+          let r = hybrid ~pool ~engine:Common.Tape prog env in
+          compare_results name ref_r r;
+          Alcotest.(check int) (name ^ ": blocks_memoized") 0 r.blocks_memoized;
+          let a = Hybrid_exec.run ~pool ~analytic:true prog env Device.gtx470 in
+          compare_results (name ^ "/analytic") ref_r a;
+          Alcotest.(check int) (name ^ ": blocks_analytic") 0 a.blocks_analytic))
+    [ 1; 2 ]
+
 let suite =
   [
     Alcotest.test_case "hybrid tape vs ref, suite, jobs 1/2/4" `Quick
@@ -266,4 +302,6 @@ let suite =
       test_overtile_counters_name_independent;
     Alcotest.test_case "overtile block execution allocation budget" `Quick
       test_overtile_allocation_budget;
+    Alcotest.test_case "unequal s0 strides run live" `Quick
+      test_unequal_strides_run_live;
   ]
