@@ -1,6 +1,6 @@
 # Convenience wrapper; `make check` is what CI runs.
 
-.PHONY: all build test check fmt clean profile-smoke fuzz bench bench-parattr bench-tilesize bench-sim bench-analytic bench-serve
+.PHONY: all build test check fmt clean profile-smoke fuzz bench bench-parattr bench-tilesize bench-sim bench-analytic bench-serve perfbench-smoke
 
 all: build
 
@@ -94,6 +94,13 @@ bench-analytic:
 bench-serve:
 	dune exec bench/main.exe -- --only serve --jobs 2 --json BENCH_serve.json
 	@python3 -c "import json; d=json.load(open('BENCH_serve.json'))['experiments']['serve']; c=d['cold']; w=d['warm']; h=d['hit_rates']; print('serve: %d reqs cold %.1f req/s warm %.1f req/s (%.1fx) hits entry=%.2f run=%.2f identical=%s' % (d['requests'], c['req_per_s'], w['req_per_s'], d['warm_speedup'], h['entry'], h['run'], d['identical']))"
+
+# Layered-benchmark smoke: builds perfbench/ (its own dune project,
+# linking the hextile libraries) and runs every workload at tiny sizes
+# under two seeds, traced and untraced, checking that each metric
+# BENCHMARK.json declares is printed with its unit.
+perfbench-smoke:
+	python3 perfbench/smoke.py
 
 clean:
 	dune clean
