@@ -207,7 +207,7 @@ let classify t ~blocks ~key =
    counters). The class decomposition and the cache's evolution are
    fixed by class id, so everything derived is identical at every
    --jobs value. *)
-let epilogue ?pool t a c ~lname ~blocks ~s00 ~exec =
+let epilogue ?pool t a c ~lname ~s00 ~exec =
   let sim = t.ctx.sim in
   let line_bytes = sim.dev.line_bytes in
   let ep0 = Unix.gettimeofday () in
@@ -219,7 +219,7 @@ let epilogue ?pool t a c ~lname ~blocks ~s00 ~exec =
   in
   if nhits > 0 then Obs.incr ~by:nhits "sim.class_cache_hits";
   let members = Array.make nclasses [] in
-  for b = blocks - 1 downto 0 do
+  for b = Array.length c.role - 1 downto 0 do
     let cid = c.role.(b) in
     if c.rep.(cid) <> b then members.(cid) <- b :: members.(cid)
   done;
@@ -345,7 +345,7 @@ let launch ?pool t ~name ~blocks ~threads ~key ~s00 ~exec =
       let post =
         match t.mode with
         | Analytic a ->
-            Some (fun () -> epilogue ?pool t a c ~lname:name ~blocks ~s00 ~exec)
+            Some (fun () -> epilogue ?pool t a c ~lname:name ~s00 ~exec)
         | Live | Memo -> None
       in
       Sim.launch ?pool ?post sim ~name ~blocks ~threads ~shared_bytes:0

@@ -13,11 +13,12 @@
     - {b live} — every block runs its body: the [Ref] engine, the
       sanitizer (both need per-lane events), or arrays whose s0 strides
       differ (a class member's translation is then not one word offset);
-    - {b memo} — the first block of each class in {!Hextile_gpusim.Sim.block_order}
-      (its representative) runs live and records its stream; every
-      other member replays it ({!Hextile_gpusim.Sim.replay_stream} for the memory
-      events, {!Common.exec_rows} for the compute rows) at its word
-      offset [Δs00·stride0];
+    - {b memo} — the first block of each class in
+      {!Hextile_gpusim.Sim.block_order} (its representative) runs live
+      and records its stream; every other member replays it
+      ({!Hextile_gpusim.Sim.replay_stream} for the memory events,
+      {!Common.exec_rows} for the compute rows) at its word offset
+      [Δs00·stride0];
     - {b analytic} — requested by the scheme and possible when the
       shared stride is a whole number of cache lines: members of
       interior classes, and every block of a class whose signature an
@@ -59,5 +60,6 @@ val launch :
   s00:(int -> int) ->
   exec:(int -> unit) ->
   unit
-(** One {!Hextile_gpusim.Sim.launch} of [blocks] blocks: [key b], [s00 b] and [exec b]
-    are block [b]'s class key, s0 origin and live body. *)
+(** One {!Hextile_gpusim.Sim.launch} of [blocks] blocks: [key b],
+    [s00 b] and [exec b] are block [b]'s class key, s0 origin and live
+    body. *)
