@@ -14,8 +14,9 @@ fmt:
 	dune build @fmt --auto-promote 2>/dev/null || true
 
 # Everything CI enforces: a clean build, the full test suite, a
-# profile report that parses as JSON, and the fixed-seed fuzz smoke.
-check: build test profile-smoke fuzz
+# profile report that parses as JSON, the fixed-seed fuzz smoke and
+# the layered benchmark's smoke (~30 s).
+check: build test profile-smoke fuzz perfbench-smoke
 
 profile-smoke:
 	dune exec bin/hextile.exe -- profile --builtin jacobi2d -N 64 -T 16 -o _build/prof_smoke.json

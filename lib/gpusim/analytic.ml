@@ -64,9 +64,9 @@ let lines_of_stream (s : Tileclass.stream) ~line_bytes =
     done
   in
   Tileclass.iter s ~f:(function
-    | Tileclass.Gload_run { addr; n; _ } -> run ~write:false addr (4 * n)
+    | Tileclass.Gload_run { addr; n } -> run ~write:false addr (4 * n)
     | Gstore_run { addr; n; _ } -> run ~write:true addr (4 * n)
-    | Gload_lanes { addrs; _ } ->
+    | Gload_lanes { addrs } ->
         Array.iter (fun a -> touch ~write:false (a / line_bytes)) addrs
     | Gstore_lanes { addrs; _ } ->
         Array.iter (fun a -> touch ~write:true (a / line_bytes)) addrs

@@ -9,8 +9,6 @@ type t = {
   l1 : L2.t;  (** per-SM L1, reset at block boundaries *)
   addr : Addrmap.t;
   mutable launches : launch list;
-  mutable blocks_in_flight : int;
-  epoch : int Atomic.t;  (** bumped per launch; part of {!generation} *)
   blocks_memoized : int Atomic.t;  (** blocks retired by {!replay_stream} *)
   blocks_analytic : int Atomic.t;
       (** blocks retired by analytic class scaling, never instanced *)
@@ -46,8 +44,6 @@ let create (dev : Device.t) =
         ~assoc:4 ~line_bytes:dev.line_bytes;
     addr = Addrmap.create ();
     launches = [];
-    blocks_in_flight = 0;
-    epoch = Atomic.make 0;
     blocks_memoized = Atomic.make 0;
     blocks_analytic = Atomic.make 0;
     tile_classes = Atomic.make 0;
@@ -89,14 +85,7 @@ type shadow = {
   sc : Counters.t;  (** per-domain accumulator, added into [total] at join *)
   sl1 : L2.t;  (** private L1 replica (reset per block, like the real one) *)
   mutable strace : tbuf;  (** current block's L2 trace: (line lsl 1) lor write *)
-  sserial : int;  (** unique per shadow; part of {!generation} *)
 }
-
-(* Unique shadow identities: two chunks of one launch scheduled onto the
-   same domain must still look like different generations to per-chunk
-   memo tables, or memoized-block counts would depend on work-stealing
-   order. *)
-let shadow_serials = Atomic.make 0
 
 let shadow_key : shadow option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
 
@@ -108,18 +97,15 @@ let shadow t =
   | Some s as o when s.owner == t -> o
   | _ -> None
 
-let generation t =
-  let serial = match shadow t with Some s -> s.sserial | None -> 0 in
-  (Atomic.get t.epoch, serial)
-
 (* ---- address-stream recording ----------------------------------------- *)
 
 (* While a recording is active on the current domain, every batched warp
-   event is appended to the stream (with global addresses classified into
-   array regions). Per-lane warp events carry information the stream
-   cannot represent (arbitrary option arrays, sanitizer thread ids), so
-   they invalidate the recording instead — a missing stream only costs
-   the memoization, never correctness. *)
+   event is appended to the stream (global addresses must fall in some
+   array region, and compute rows are tagged with theirs). Per-lane warp
+   events carry information the stream cannot represent (arbitrary
+   option arrays, sanitizer thread ids), so they invalidate the
+   recording instead — a missing stream only costs the memoization,
+   never correctness. *)
 
 type recording = {
   rowner : t;
@@ -162,6 +148,11 @@ let record_compute t ~stmt ~tstep ~waddr ~srcs ~n =
         Tileclass.push r.rstream
           (Compute { stmt; tstep; wregion; waddr; sregions; srcs; n })
   | _ -> ()
+
+(* Append a global-memory event at byte [addr]; an address outside every
+   array region invalidates the recording. *)
+let push_global r addr ev =
+  if r.region_of addr < 0 then r.rvalid <- false else Tileclass.push r.rstream ev
 
 let active addrs =
   Array.fold_left (fun n a -> if a = None then n else n + 1) 0 addrs
@@ -268,9 +259,7 @@ let global_load_run t ~addr ~n =
     done;
     match Domain.DLS.get record_key with
     | Some r when r.rowner == t && r.rvalid ->
-        let region = r.region_of addr in
-        if region < 0 then r.rvalid <- false
-        else Tileclass.push r.rstream (Gload_run { region; addr; n })
+        push_global r addr (Gload_run { addr; n })
     | _ -> ()
   end
 
@@ -286,9 +275,7 @@ let global_store_run ?(serial = false) t ~addr ~n =
     done;
     match Domain.DLS.get record_key with
     | Some r when r.rowner == t && r.rvalid ->
-        let region = r.region_of addr in
-        if region < 0 then r.rvalid <- false
-        else Tileclass.push r.rstream (Gstore_run { region; addr; n; serial })
+        push_global r addr (Gstore_run { addr; n; serial })
     | _ -> ()
   end
 
@@ -335,9 +322,7 @@ let global_load_lanes t addrs =
   if Array.length addrs > 0 then
     match Domain.DLS.get record_key with
     | Some r when r.rowner == t && r.rvalid ->
-        let region = r.region_of addrs.(0) in
-        if region < 0 then r.rvalid <- false
-        else Tileclass.push r.rstream (Gload_lanes { region; addrs })
+        push_global r addrs.(0) (Gload_lanes { addrs })
     | _ -> ()
 
 let global_store_lanes ?(serial = false) t addrs =
@@ -345,9 +330,7 @@ let global_store_lanes ?(serial = false) t addrs =
   if Array.length addrs > 0 then
     match Domain.DLS.get record_key with
     | Some r when r.rowner == t && r.rvalid ->
-        let region = r.region_of addrs.(0) in
-        if region < 0 then r.rvalid <- false
-        else Tileclass.push r.rstream (Gstore_lanes { region; addrs; serial })
+        push_global r addrs.(0) (Gstore_lanes { addrs; serial })
     | _ -> ()
 
 (* Bank conflicts: transactions = max over banks of the number of distinct
@@ -474,21 +457,19 @@ let sync t =
 
 (* Replay a recorded stream for another block of the same tile class:
    memory events run through the same (shadow-aware) machinery as live
-   execution, with each global address translated by its region's byte
-   delta; line ranges, coalescing and L1/L2 behaviour are recomputed
-   from the translated addresses, so the accounting is exact at any
-   alignment. [Compute] events are skipped: the caller runs the class's
-   compiled compute rows itself. *)
-let replay_stream t (s : Tileclass.stream) ~(deltas : int array) =
+   execution, with every global address translated by the byte delta;
+   line ranges, coalescing and L1/L2 behaviour are recomputed from the
+   translated addresses, so the accounting is exact at any alignment.
+   [Compute] events are skipped: the caller runs the class's compiled
+   compute rows itself. *)
+let replay_stream t (s : Tileclass.stream) ~delta =
   Tileclass.iter s ~f:(fun ev ->
       match ev with
-      | Tileclass.Gload_run { region; addr; n } ->
-          global_load_run t ~addr:(addr + deltas.(region)) ~n
-      | Gstore_run { region; addr; n; serial } ->
-          global_store_run ~serial t ~addr:(addr + deltas.(region)) ~n
-      | Gload_lanes { region; addrs } -> gload_lanes_off t addrs deltas.(region)
-      | Gstore_lanes { region; addrs; serial } ->
-          gstore_lanes_off ~serial t addrs deltas.(region)
+      | Tileclass.Gload_run { addr; n } -> global_load_run t ~addr:(addr + delta) ~n
+      | Gstore_run { addr; n; serial } ->
+          global_store_run ~serial t ~addr:(addr + delta) ~n
+      | Gload_lanes { addrs } -> gload_lanes_off t addrs delta
+      | Gstore_lanes { addrs; serial } -> gstore_lanes_off ~serial t addrs delta
       | Shared_load { transactions } ->
           let c = counters_of t in
           c.shared_load_requests <- c.shared_load_requests + 1;
@@ -687,7 +668,6 @@ let run_blocks_parallel t pool ~name ~order ?wave_of ~f () =
                    sc = chunk_counters.(ci);
                    sl1 = domain_l1 t d;
                    strace = d.dt;
-                   sserial = 1 + Atomic.fetch_and_add shadow_serials 1;
                  }
                in
                Domain.DLS.set shadow_key (Some sh);
@@ -751,10 +731,6 @@ let launch ?pool ?post ?wave_of t ~name ~blocks ~threads ~shared_bytes ~f =
     Tl.begin_ ~arg:(float_of_int blocks) "sim.launch";
     Fun.protect ~finally:Tl.end_ @@ fun () ->
     let before = Counters.copy t.total in
-    (* new launch, new generation: tile-class memo tables keyed by
-       {!generation} never leak streams across launches *)
-    Atomic.incr t.epoch;
-    t.blocks_in_flight <- blocks;
     if Sanitize.enabled () then Sanitize.launch_begin ~name;
     let par =
       match pool with
@@ -774,7 +750,6 @@ let launch ?pool ?post ?wave_of t ~name ~blocks ~threads ~shared_bytes ~f =
             if Sanitize.enabled () then Sanitize.block_end ())
           (scrambled blocks));
     if Sanitize.enabled () then Sanitize.launch_end ();
-    t.blocks_in_flight <- 0;
     (* launch epilogue: runs on the main domain (no shadow, counters go
        straight to [t.total], memory events reach the real shared L2)
        after every block has retired but before the launch delta is

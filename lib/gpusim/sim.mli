@@ -28,8 +28,6 @@ type t = {
   l1 : L2.t;  (** per-SM L1 model, reset at block boundaries *)
   addr : Addrmap.t;
   mutable launches : launch list;
-  mutable blocks_in_flight : int;  (** of the current launch *)
-  epoch : int Atomic.t;  (** bumped per launch; part of {!generation} *)
   blocks_memoized : int Atomic.t;
       (** blocks retired by {!replay_stream} instead of live execution *)
   blocks_analytic : int Atomic.t;
@@ -183,7 +181,7 @@ val shared_store_lanes : ?replay:int -> t -> int array -> unit
     The tile-class launcher records one representative block per class
     with {!record_begin}/{!record_end} and replays the stream for the
     other blocks of the class with {!replay_stream}, translating global
-    addresses by per-region byte deltas. Only the batched events above
+    addresses by one byte delta. Only the batched events above
     (plus {!flops_warp}, {!sync} and {!record_compute}) are recordable;
     any per-lane warp event invalidates the recording, so unsupported
     shapes silently fall back to live execution. Recording state is
@@ -191,8 +189,9 @@ val shared_store_lanes : ?replay:int -> t -> int array -> unit
 
 val record_begin : t -> region_of:(int -> int) -> unit
 (** Start recording the current domain's events. [region_of] classifies
-    a global byte address into the replay delta index (negative =
-    unclassifiable, which invalidates the recording). *)
+    a global byte address into an array region (negative = outside every
+    array, which invalidates the recording); compute rows keep their
+    addresses' regions. *)
 
 val record_end : t -> Tileclass.stream option
 (** Stop recording; [None] if the recording was invalidated. *)
@@ -211,9 +210,9 @@ val record_compute :
 (** Record the functional execution of one statement row (write base and
     per-source base byte addresses); takes ownership of [srcs]. *)
 
-val replay_stream : t -> Tileclass.stream -> deltas:int array -> unit
-(** Replay a recorded stream's memory, flop and barrier events with
-    per-region byte deltas added to every global address (line ranges
+val replay_stream : t -> Tileclass.stream -> delta:int -> unit
+(** Replay a recorded stream's memory, flop and barrier events with the
+    byte [delta] added to every global address (line ranges
     and cache behaviour are recomputed, so the replay is exact).
     [Compute] events are skipped: the caller reproduces the grid writes
     from the class's compiled rows ([Common.exec_rows] in the schemes'
@@ -230,16 +229,6 @@ val live_counters : t -> Counters.t
     placement-dependent: sequential blocks charge the shared L2 inline
     while pooled blocks defer it to trace replay — so per-block deltas
     are jobs-invariant only outside [dram_read/write_transactions]. *)
-
-val generation : t -> int * int
-(** Identity of (launch, executing chunk): the launch epoch plus the
-    current parallel shadow's unique serial (0 when sequential).
-    Domain-local scratch keyed by this (e.g. the tape engine's compiled
-    scratch rows) is valid for at most one launch on one chunk and can
-    never leak across launches or domains. The shared tile-class memo is
-    {e not} keyed by this any more — it is a per-launch publish-once
-    table with precomputed class representatives, so memoized-block
-    counts are identical across every jobs value. *)
 
 (** {2 Results} *)
 

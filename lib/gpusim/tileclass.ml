@@ -3,23 +3,24 @@
    The hybrid scheme's tiles are translation-invariant: two blocks of one
    launch whose hexagons are clipped identically against the statement
    domains issue the same warp event sequence, with every global byte
-   address shifted by a per-array constant (the S0 translation times the
-   array's row stride). A stream records one representative block's
-   events with each global address tagged by its array region; replaying
-   it with per-region byte deltas through [Sim] reproduces the other
-   blocks' accounting exactly — line ranges and coalescing are recomputed
-   from the translated addresses, never copied. Shared-memory addresses
+   address shifted by one constant (the S0 translation times the s0
+   stride all arrays share). A stream records one representative block's
+   events; replaying it with that byte delta through [Sim] reproduces
+   the other blocks' accounting exactly — line ranges and coalescing are
+   recomputed from the translated addresses, never copied. Compute rows
+   keep the array region of each address, which maps it back to a flat
+   word index. Shared-memory addresses
    are tile-relative (identical across the class) or shift uniformly,
    which rotates the bank assignment without changing the conflict
    count, so only the transaction count is recorded. *)
 
 type ev =
-  | Gload_run of { region : int; addr : int; n : int }
+  | Gload_run of { addr : int; n : int }
       (** coalesced load of [n] consecutive words at byte [addr] *)
-  | Gstore_run of { region : int; addr : int; n : int; serial : bool }
-  | Gload_lanes of { region : int; addrs : int array }
+  | Gstore_run of { addr : int; n : int; serial : bool }
+  | Gload_lanes of { addrs : int array }
       (** ascending per-lane byte addresses (gapped copy-in rows) *)
-  | Gstore_lanes of { region : int; addrs : int array; serial : bool }
+  | Gstore_lanes of { addrs : int array; serial : bool }
   | Shared_load of { transactions : int }
       (** one request; [transactions] includes bank-conflict replays *)
   | Shared_store of { transactions : int }

@@ -1,9 +1,9 @@
 (** Recorded warp-event streams for tile-class memoization.
 
     A {!stream} is the complete event sequence of one representative
-    block of a hybrid launch, with global byte addresses tagged by the
-    array region they fall in. [Sim.replay_stream] replays it for
-    another block of the same class by adding a per-region byte delta to
+    block of a hybrid launch, with the compute rows' byte addresses
+    tagged by the array region they fall in. [Sim.replay_stream] replays
+    it for another block of the same class by adding one byte delta to
     every global address and recomputing coalescing/cache behaviour from
     the translated addresses — nothing cache-related is memoized, so the
     replay is exact at any alignment. Shared-memory events carry only
@@ -16,12 +16,12 @@
     ([Classsim]) owns the per-class memo table. *)
 
 type ev =
-  | Gload_run of { region : int; addr : int; n : int }
+  | Gload_run of { addr : int; n : int }
       (** coalesced load of [n] consecutive words at byte [addr] *)
-  | Gstore_run of { region : int; addr : int; n : int; serial : bool }
-  | Gload_lanes of { region : int; addrs : int array }
+  | Gstore_run of { addr : int; n : int; serial : bool }
+  | Gload_lanes of { addrs : int array }
       (** ascending per-lane byte addresses (gapped copy-in rows) *)
-  | Gstore_lanes of { region : int; addrs : int array; serial : bool }
+  | Gstore_lanes of { addrs : int array; serial : bool }
   | Shared_load of { transactions : int }
   | Shared_store of { transactions : int }
   | Flops of { active : int; per_lane : int }

@@ -138,8 +138,7 @@ let record t ~exec b =
 (* A member [ds] s0 steps from its representative. *)
 let replay t r ~ds =
   let off = ds * t.stride0 in
-  Sim.replay_stream t.ctx.sim r.stream
-    ~deltas:(Array.make (Array.length t.rbases) (4 * off));
+  Sim.replay_stream t.ctx.sim r.stream ~delta:(4 * off);
   Common.exec_rows t.ctx r.crows ~off
 
 (* [Par.map] itself runs sequentially on a 1-job pool *)

@@ -329,42 +329,93 @@ let box_inter a b =
     bhi = Array.map2 min a.bhi b.bhi;
   }
 
+(* Block-store keys in use: every storage slot of every array. *)
+let nkeys (prog : Stencil.t) = List.fold_left (fun n d -> n + slots d) 0 prog.arrays
+
 module Layout = struct
   type nonrec t = {
-    entries : (string * int, box * int) Hashtbl.t;
-    mutable next : int;
+    boxes : box array;  (** by block-store key; grown in place *)
+    bases : int array;  (** word base of each box, then the total *)
+    mutable placed : bool;  (** [bases] match the current boxes *)
   }
 
-  let create () = { entries = Hashtbl.create 8; next = 0 }
+  let create (ctx : ctx) =
+    let n = nkeys ctx.prog in
+    {
+      boxes = Array.init n (fun _ -> empty_box ~dims:ctx.dims);
+      bases = Array.make (n + 1) 0;
+      placed = true;
+    }
 
-  let add t ~array ~slot box =
-    if not (box_is_empty box) then begin
-      Hashtbl.replace t.entries (array, slot) (box, t.next);
-      t.next <- t.next + box_count box
+  let key (ctx : ctx) (a : Stencil.access) ~tstep =
+    store_key ctx.prog a.array
+    + Grid.slot (Grid.find ctx.grids a.array) (tstep + a.time_off)
+
+  let add t ~key b =
+    if not (box_is_empty b) then begin
+      grow t.boxes.(key) b.blo;
+      grow t.boxes.(key) b.bhi;
+      t.placed <- false
     end
 
-  let find t ~array ~slot =
-    Option.map fst (Hashtbl.find_opt t.entries (array, slot))
-
-  let addr t ~array ~slot point =
-    match Hashtbl.find_opt t.entries (array, slot) with
-    | None -> 0
-    | Some (box, base) ->
-        let off = ref 0 in
-        Array.iteri
-          (fun d x ->
-            let x = max box.blo.(d) (min box.bhi.(d) x) in
-            off := (!off * (box.bhi.(d) - box.blo.(d) + 1)) + (x - box.blo.(d)))
-          point;
-        base + !off
-
-  let words t = t.next
-  let iter t ~f = Hashtbl.iter (fun (array, slot) (box, _) -> f ~array ~slot box) t.entries
-
-  let access_addr t (ctx : ctx) ~tstep (a : Stencil.access) ~point =
+  (* Grows the box in place, without building the shifted box and with
+     int-specialised compares: the hybrid executor covers every row of
+     every live tile. *)
+  let cover t (ctx : ctx) (a : Stencil.access) ~tstep (region : box) =
     let g = Grid.find ctx.grids a.array in
-    addr t ~array:a.array ~slot:(Grid.slot g (tstep + a.time_off))
-      (Array.mapi (fun d o -> point.(d) + o) a.offsets)
+    let gbase = Array.length g.dims - ctx.dims in
+    (* the region shifted by the access's offsets, clipped to the grid *)
+    let lo d = Int.max 0 (region.blo.(d) + a.offsets.(d))
+    and hi d = Int.min (g.dims.(gbase + d) - 1) (region.bhi.(d) + a.offsets.(d)) in
+    let rec nonempty d = d = ctx.dims || (lo d <= hi d && nonempty (d + 1)) in
+    if nonempty 0 then begin
+      let b = t.boxes.(key ctx a ~tstep) in
+      for d = 0 to ctx.dims - 1 do
+        b.blo.(d) <- Int.min b.blo.(d) (lo d);
+        b.bhi.(d) <- Int.max b.bhi.(d) (hi d)
+      done;
+      t.placed <- false
+    end
+
+  (* Pack the boxes at consecutive word bases in key order. *)
+  let place t =
+    if not t.placed then begin
+      Array.iteri (fun k b -> t.bases.(k + 1) <- t.bases.(k) + box_count b) t.boxes;
+      t.placed <- true
+    end
+
+  let find t ~key = if box_is_empty t.boxes.(key) then None else Some t.boxes.(key)
+
+  let addr t ~key point =
+    let box = t.boxes.(key) in
+    if box_is_empty box then 0
+    else begin
+      place t;
+      let off = ref 0 in
+      Array.iteri
+        (fun d x ->
+          let x = Int.max box.blo.(d) (Int.min box.bhi.(d) x) in
+          off := (!off * (box.bhi.(d) - box.blo.(d) + 1)) + (x - box.blo.(d)))
+        point;
+      t.bases.(key) + !off
+    end
+
+  let words t =
+    place t;
+    t.bases.(Array.length t.boxes)
+
+  let iter t (ctx : ctx) ~f =
+    List.iter
+      (fun (d : Stencil.array_decl) ->
+        let grid = Grid.find ctx.grids d.aname and k0 = store_key ctx.prog d.aname in
+        for slot = 0 to slots d - 1 do
+          let key = k0 + slot in
+          if not (box_is_empty t.boxes.(key)) then f ~grid ~slot ~key t.boxes.(key)
+        done)
+      ctx.prog.arrays
+
+  let access_addr t ctx ~tstep (a : Stencil.access) ~point =
+    addr t ~key:(key ctx a ~tstep) (Array.mapi (fun d o -> point.(d) + o) a.offsets)
 end
 
 let warp_size = 32
@@ -669,10 +720,9 @@ let load_box_rows ctx ~grid ~slot ~box ~skip_x ~shared_addr =
       end)
 
 let load_layout ctx lay =
-  Layout.iter lay ~f:(fun ~array ~slot box ->
-      load_box_rows ctx ~grid:(Grid.find ctx.grids array) ~slot ~box
-        ~skip_x:(fun _ -> None)
-        ~shared_addr:(fun p -> Layout.addr lay ~array ~slot p))
+  Layout.iter lay ctx ~f:(fun ~grid ~slot ~key box ->
+      load_box_rows ctx ~grid ~slot ~box ~skip_x:(fun _ -> None)
+        ~shared_addr:(Layout.addr lay ~key))
 
 let shared_copy_rows ctx ~box ~shared_addr =
   let batched = batched_engine ctx in
@@ -728,94 +778,82 @@ let snapshot (ctx : ctx) =
    in per-domain buffers that are sized to the largest box seen and
    reused across blocks, launches and runs. *)
 module Store = struct
-  type sbox = {
-    mutable area : box option;  (** [None] until touched by the block *)
-    mutable data : float array;  (** row-major over [area]; capacity >= its cells *)
-    mutable mark : Bytes.t;  (** nonzero = written by the block *)
+  type t = {
+    mutable lay : Layout.t;  (** the block's boxes (empty = untouched) *)
+    mutable data : float array array;
+        (** per key, row-major over its box; capacity >= its cells *)
+    mutable mark : Bytes.t array;  (** per key, nonzero = written by the block *)
+    mutable write_through : bool;
   }
 
-  type t = { mutable boxes : sbox array; mutable write_through : bool }
+  let domain_store =
+    Domain.DLS.new_key (fun () ->
+        {
+          lay = { boxes = [||]; bases = [| 0 |]; placed = true };
+          data = [||];
+          mark = [||];
+          write_through = false;
+        })
 
-  let domain_store = Domain.DLS.new_key (fun () -> { boxes = [||]; write_through = false })
-
-  let touch st (ctx : ctx) ((stmt : Stencil.stmt), tstep, (region : box)) =
-    List.iter
-      (fun (a : Stencil.access) ->
-        (* the region shifted by the access's offsets, clipped to the grid *)
-        let g = Grid.find ctx.grids a.array in
-        let gbase = Array.length g.dims - ctx.dims in
-        let r =
-          {
-            blo = Array.mapi (fun d l -> max 0 (l + a.offsets.(d))) region.blo;
-            bhi =
-              Array.mapi
-                (fun d h -> min (g.dims.(gbase + d) - 1) (h + a.offsets.(d)))
-                region.bhi;
-          }
-        in
-        if not (box_is_empty r) then begin
-          let b = st.boxes.(store_key ctx.prog a.array + Grid.slot g (tstep + a.time_off)) in
-          b.area <-
-            Some
-              (match b.area with
-              | None -> r
-              | Some o -> { blo = Array.map2 min o.blo r.blo; bhi = Array.map2 max o.bhi r.bhi })
-        end)
-      (stmt.write :: Stencil.reads stmt)
-
-  (* [f b goff boff len] for every x-row of [d]'s touched boxes [b]
+  (* [f k goff boff len] for every x-row of [d]'s touched boxes [k]
      clipped to [within], slots ascending — so in ascending grid order.
-     The row starts at word [goff] of the grid and word [boff] of [b]. *)
+     The row starts at word [goff] of the grid and word [boff] of box
+     [k]. *)
   let iter_rows ?within st (ctx : ctx) (d : Stencil.array_decl) f =
     let g = Grid.find ctx.grids d.aname in
     let gbase = Array.length g.dims - ctx.dims in
-    let k = store_key ctx.prog d.aname in
+    let k0 = store_key ctx.prog d.aname in
     for slot = 0 to slots d - 1 do
-      let b = st.boxes.(k + slot) in
-      Option.iter
-        (fun area ->
-          let r = match within with Some w -> box_inter area w | None -> area in
-          let rec go dim goff boff =
-            let gext = g.dims.(gbase + dim) and bext = area.bhi.(dim) - area.blo.(dim) + 1 in
-            let boff_at x = (boff * bext) + x - area.blo.(dim) in
-            if dim = ctx.dims - 1 then
-              f b
-                ((goff * gext) + r.blo.(dim))
-                (boff_at r.blo.(dim))
-                (r.bhi.(dim) - r.blo.(dim) + 1)
-            else
-              for x = r.blo.(dim) to r.bhi.(dim) do
-                go (dim + 1) ((goff * gext) + x) (boff_at x)
-              done
-          in
-          if not (box_is_empty r) then go 0 (if gbase > 0 then slot else 0) 0)
-        b.area
+      let k = k0 + slot in
+      let area = st.lay.boxes.(k) in
+      let r = match within with Some w -> box_inter area w | None -> area in
+      let rec go dim goff boff =
+        let gext = g.dims.(gbase + dim)
+        and bext = area.bhi.(dim) - area.blo.(dim) + 1 in
+        let boff_at x = (boff * bext) + x - area.blo.(dim) in
+        if dim = ctx.dims - 1 then
+          f k
+            ((goff * gext) + r.blo.(dim))
+            (boff_at r.blo.(dim))
+            (r.bhi.(dim) - r.blo.(dim) + 1)
+        else
+          for x = r.blo.(dim) to r.bhi.(dim) do
+            go (dim + 1) ((goff * gext) + x) (boff_at x)
+          done
+      in
+      if not (box_is_empty r) then go 0 (if gbase > 0 then slot else 0) 0
     done
 
   let load ?(write_through = false) (ctx : ctx) ~snap regions =
     let st = Domain.DLS.get domain_store in
-    let n = List.fold_left (fun n d -> n + slots d) 0 ctx.prog.arrays in
-    if Array.length st.boxes < n then
-      st.boxes <- Array.init n (fun _ -> { area = None; data = [||]; mark = Bytes.empty });
-    Array.iter (fun b -> b.area <- None) st.boxes;
+    let lay = Layout.create ctx in
+    List.iter
+      (fun ((stmt : Stencil.stmt), tstep, region) ->
+        List.iter
+          (fun a -> Layout.cover lay ctx a ~tstep region)
+          (stmt.write :: Stencil.reads stmt))
+      regions;
+    let n = Array.length lay.boxes in
+    if Array.length st.data < n then begin
+      st.data <- Array.make n [||];
+      st.mark <- Array.make n Bytes.empty
+    end;
+    Array.iteri
+      (fun k b ->
+        let n = box_count b in
+        if Array.length st.data.(k) < n then begin
+          st.data.(k) <- Array.make n 0.0;
+          st.mark.(k) <- Bytes.create n
+        end;
+        Bytes.fill st.mark.(k) 0 n '\000')
+      lay.boxes;
+    st.lay <- lay;
     st.write_through <- write_through;
-    List.iter (touch st ctx) regions;
-    Array.iter
-      (fun b ->
-        Option.iter
-          (fun area ->
-            let n = box_count area in
-            if Array.length b.data < n then begin
-              b.data <- Array.make n 0.0;
-              b.mark <- Bytes.create n
-            end;
-            Bytes.fill b.mark 0 n '\000')
-          b.area)
-      st.boxes;
     List.iter
       (fun (d : Stencil.array_decl) ->
         let src = Hashtbl.find snap d.aname in
-        iter_rows st ctx d (fun b goff boff len -> Array.blit src goff b.data boff len))
+        iter_rows st ctx d (fun k goff boff len ->
+            Array.blit src goff st.data.(k) boff len))
       ctx.prog.arrays;
     st
 
@@ -823,10 +861,10 @@ module Store = struct
     List.iter
       (fun (d : Stencil.array_decl) ->
         let g = Grid.find ctx.grids d.aname and cells = ref [] in
-        iter_rows ~within st ctx d (fun b goff boff len ->
+        iter_rows ~within st ctx d (fun k goff boff len ->
             for i = 0 to len - 1 do
-              if Bytes.get b.mark (boff + i) <> '\000' then begin
-                g.data.(goff + i) <- b.data.(boff + i);
+              if Bytes.get st.mark.(k) (boff + i) <> '\000' then begin
+                g.data.(goff + i) <- st.data.(k).(boff + i);
                 cells := (goff + i) :: !cells
               end
             done);
@@ -837,36 +875,34 @@ module Store = struct
   let[@inline never] outside aname =
     invalid_arg (Fmt.str "Common.Store: access to %s outside the block's box" aname)
 
-  (* Word offset in [b] of access [a] on [point]'s row at x = [x0], with
-     both row endpoints [x0 <= x1] validated against the box (which lies
-     inside the grid, so this bounds-checks the grid access too). *)
-  let row_offset b (a : Stencil.access) point ~x0 ~x1 =
-    match b.area with
-    | None -> outside a.array
-    | Some { blo; bhi } ->
-        let xd = Array.length point - 1 in
-        let off = ref 0 in
-        for d = 0 to xd do
-          let c = (if d = xd then x0 else point.(d)) + a.offsets.(d) in
-          let c1 = if d = xd then x1 + a.offsets.(d) else c in
-          if c < blo.(d) || c1 > bhi.(d) then outside a.array;
-          off := (!off * (bhi.(d) - blo.(d) + 1)) + c - blo.(d)
-        done;
-        !off
+  (* Word offset in box [k] of access [a] on [point]'s row at x = [x0],
+     with both row endpoints [x0 <= x1] validated against the box (which
+     lies inside the grid, so this bounds-checks the grid access too; an
+     untouched box is empty, so every access to it fails). *)
+  let row_offset st k (a : Stencil.access) point ~x0 ~x1 =
+    let { blo; bhi } = st.lay.boxes.(k) in
+    let xd = Array.length point - 1 in
+    let off = ref 0 in
+    for d = 0 to xd do
+      let c = (if d = xd then x0 else point.(d)) + a.offsets.(d) in
+      let c1 = if d = xd then x1 + a.offsets.(d) else c in
+      if c < blo.(d) || c1 > bhi.(d) then outside a.array;
+      off := (!off * (bhi.(d) - blo.(d) + 1)) + c - blo.(d)
+    done;
+    !off
 
   (* One lane at [point], in the per-lane interleaved read/write order. *)
   let exec_lane st (ctx : ctx) c (s : Stencil.stmt) ~tstep point =
     let x = point.(ctx.dims - 1) in
     let read (a : Stencil.access) p =
-      let g = Grid.find ctx.grids a.array in
-      let b = st.boxes.(store_key ctx.prog a.array + Grid.slot g (tstep + a.time_off)) in
-      b.data.(row_offset b a p ~x0:x ~x1:x)
+      let k = Layout.key ctx a ~tstep in
+      st.data.(k).(row_offset st k a p ~x0:x ~x1:x)
     in
     let v = Interp.eval_with ~read s.rhs ~point in
-    let b = st.boxes.(c.swkey tstep) in
-    let o = row_offset b s.write point ~x0:x ~x1:x in
-    b.data.(o) <- v;
-    Bytes.set b.mark o '\001';
+    let k = c.swkey tstep in
+    let o = row_offset st k s.write point ~x0:x ~x1:x in
+    st.data.(k).(o) <- v;
+    Bytes.set st.mark.(k) o '\001';
     if st.write_through then c.cwgrid.data.(c.cwflat tstep point) <- v
 
   (* A whole contiguous row through the statement's tape, sources and
@@ -876,18 +912,18 @@ module Store = struct
     let nsrc = Array.length c.skeys in
     let datas = Array.make nsrc [||] and bases = Array.make nsrc 0 in
     List.iteri
-      (fun k a ->
-        let b = st.boxes.(c.skeys.(k) tstep) in
-        bases.(k) <- row_offset b a point ~x0 ~x1;
-        datas.(k) <- b.data)
+      (fun i a ->
+        let k = c.skeys.(i) tstep in
+        bases.(i) <- row_offset st k a point ~x0 ~x1;
+        datas.(i) <- st.data.(k))
       c.caccs;
-    let wb = st.boxes.(c.swkey tstep) in
-    let wbase = row_offset wb s.write point ~x0 ~x1 in
-    run_tape tape ~datas ~bases ~n ~out:wb.data ~out_base:wbase;
-    Bytes.fill wb.mark wbase n '\001';
+    let k = c.swkey tstep in
+    let wbase = row_offset st k s.write point ~x0 ~x1 in
+    run_tape tape ~datas ~bases ~n ~out:st.data.(k) ~out_base:wbase;
+    Bytes.fill st.mark.(k) wbase n '\001';
     if st.write_through then begin
       point.(ctx.dims - 1) <- x0;
-      Array.blit wb.data wbase c.cwgrid.data (c.cwflat tstep point) n
+      Array.blit st.data.(k) wbase c.cwgrid.data (c.cwflat tstep point) n
     end
 end
 

@@ -90,34 +90,61 @@ val gflops : result -> flops_per_update:float -> float
 type box = { blo : int array; bhi : int array }
 (** Inclusive spatial bounds; empty if any [blo > bhi]. *)
 
-val empty_box : dims:int -> box
 val box_is_empty : box -> bool
 val box_count : box -> int
-val grow : box -> int array -> unit
-(** Mutate to include a point. *)
 
 val box_inter : box -> box -> box
 
-(** {2 Shared-memory layouts} *)
+(** {2 Per-block (array, slot) boxes} *)
+
+val store_key : Stencil.t -> string -> int
+(** Key of an array's slot 0. Keys number the (array, storage slot)
+    pairs in declaration order: an array's slots follow the slots of
+    every array declared before it. *)
+
+val nkeys : Stencil.t -> int
+(** Number of keys: every storage slot of every array. *)
+
+val flat : Grid.t -> slot:int -> int array -> int
+(** Flat word index of a spatial point in storage slot [slot]. *)
 
 module Layout : sig
-  (** Per-block shared memory: one box per (array, storage slot), packed
-      row-major at consecutive base offsets. Addresses are word indices
-      (for the bank-conflict model). *)
+  (** One box per (array, storage slot) key, the only per-block
+      (array, slot) table the executors keep. Shared memory packs the
+      non-empty boxes row-major at consecutive word bases in key order,
+      and {!iter} walks them in that order — declaration order, slots
+      ascending — so no copy-in, copy-out or shared address depends on
+      array names. Addresses are word indices (for the bank-conflict
+      model). *)
 
   type t
 
-  val create : unit -> t
-  val add : t -> array:string -> slot:int -> box -> unit
-  (** No-op if the box is empty. *)
+  val create : ctx -> t
+  (** Every box empty. *)
 
-  val find : t -> array:string -> slot:int -> box option
-  val addr : t -> array:string -> slot:int -> int array -> int
+  val key : ctx -> Stencil.access -> tstep:int -> int
+  (** Key of the slot an access touches at [tstep]. *)
+
+  val add : t -> key:int -> box -> unit
+  (** Grow the box at [key] to cover a box; no-op if it is empty. *)
+
+  val cover : t -> ctx -> Stencil.access -> tstep:int -> box -> unit
+  (** Grow the box the access touches at [tstep] by a region of
+      instances: the region shifted by the access's offsets, clipped to
+      the grid. *)
+
+  val find : t -> key:int -> box option
+  (** [None] while the box is empty. *)
+
+  val addr : t -> key:int -> int array -> int
   (** Word address of a spatial point (clipped into the box). Returns 0
-      for unknown keys. *)
+      for empty boxes. *)
 
   val words : t -> int
-  val iter : t -> f:(array:string -> slot:int -> box -> unit) -> unit
+
+  val iter :
+    t -> ctx -> f:(grid:Grid.t -> slot:int -> key:int -> box -> unit) -> unit
+  (** Non-empty boxes in key order. *)
 
   val access_addr :
     t -> ctx -> tstep:int -> Stencil.access -> point:int array -> int
@@ -134,11 +161,11 @@ val snapshot : ctx -> (string, float array) Hashtbl.t
 module Store : sig
   (** What one block of an overlapped scheme sees: the launch snapshot
       overlaid with the block's own writes, held as one dense row-major
-      box per (array, slot) the block touches plus a written-cell mark —
-      the functional counterpart of the shared-memory copy-in the
-      executors account. Buffers are per domain, sized to the largest box
-      seen and reused across blocks, launches and runs, so a block
-      allocates nothing per cell. *)
+      box per (array, slot) the block touches ({!Layout.cover}) plus a
+      written-cell mark — the functional counterpart of the shared-memory
+      copy-in the executors account. Buffers are per domain, sized to the
+      largest box seen and reused across blocks, launches and runs, so a
+      block allocates nothing per cell. *)
 
   type t
 

@@ -244,33 +244,18 @@ let run ?pool ?engine ?(analytic = false) ?(name = "hybrid") ?config prog env de
   (* process one (T, phase, S0, S1..Sn) tile; returns its layout *)
   let shared_warned = Atomic.make false in
   let process_tile ~u0 ~s00 ~(cls : int array) ~(prev : Common.Layout.t option) =
-    let lay = Common.Layout.create () in
+    let lay = Common.Layout.create ctx in
     if strat.use_shared then begin
-      (* pre-pass: accessed boxes per (array, slot) *)
-      let boxes : (string * int, Common.box) Hashtbl.t = Hashtbl.create 8 in
-      let grow_access (acc : Stencil.access) ~tstep ~point ~xs =
-        let g = Grid.find ctx.grids acc.array in
-        let slot = Grid.slot g (tstep + acc.time_off) in
-        let box =
-          match Hashtbl.find_opt boxes (acc.array, slot) with
-          | Some b -> b
-          | None ->
-              let b = Common.empty_box ~dims in
-              Hashtbl.replace boxes (acc.array, slot) b;
-              b
-        in
-        let p = Array.mapi (fun d o -> point.(d) + o) acc.offsets in
-        p.(dims - 1) <- xs.(0) + acc.offsets.(dims - 1);
-        Common.grow box p;
-        p.(dims - 1) <- xs.(Array.length xs - 1) + acc.offsets.(dims - 1);
-        Common.grow box p
-      in
-      iter_tile ~u0 ~s00 ~cls
-        ~on_step:(fun () -> ())
-        ~on_row:(fun ~stmt ~tstep ~point ~xs ->
-          List.iter (fun a -> grow_access a ~tstep ~point ~xs) (Stencil.distinct_reads stmt);
-          grow_access stmt.Stencil.write ~tstep ~point ~xs);
-      Hashtbl.iter (fun (arr, slot) box -> Common.Layout.add lay ~array:arr ~slot box) boxes;
+      (* pre-pass: the box of every (array, slot) the tile accesses *)
+      let row = { Common.blo = Array.make dims 0; bhi = Array.make dims 0 } in
+      iter_tile ~u0 ~s00 ~cls ~on_step:ignore ~on_row:(fun ~stmt ~tstep ~point ~xs ->
+          Array.blit point 0 row.blo 0 dims;
+          Array.blit point 0 row.bhi 0 dims;
+          row.blo.(dims - 1) <- xs.(0);
+          row.bhi.(dims - 1) <- xs.(Array.length xs - 1);
+          List.iter
+            (fun a -> Common.Layout.cover lay ctx a ~tstep row)
+            (stmt.Stencil.write :: Stencil.distinct_reads stmt));
       if
         4 * Common.Layout.words lay > dev.Device.shared_mem_bytes
         (* blocks may run on several domains: claim the warning atomically *)
@@ -287,11 +272,11 @@ let run ?pool ?engine ?(analytic = false) ?(name = "hybrid") ?config prog env de
           dev.Device.shared_mem_bytes
       end;
       (* copy-in, with inter-tile reuse *)
-      Common.Layout.iter lay ~f:(fun ~array ~slot box ->
+      Common.Layout.iter lay ctx ~f:(fun ~grid ~slot ~key box ->
           let pbox =
             match (strat.reuse, prev) with
             | No_reuse, _ | _, None -> None
-            | _, Some p -> Common.Layout.find p ~array ~slot
+            | _, Some p -> Common.Layout.find p ~key
           in
           let skip_x row =
             match pbox with
@@ -303,15 +288,15 @@ let run ?pool ?engine ?(analytic = false) ?(name = "hybrid") ?config prog env de
                 done;
                 if !inside then Some (pb.blo.(dims - 1), pb.bhi.(dims - 1)) else None
           in
-          Common.load_box_rows ctx ~grid:(Grid.find ctx.grids array) ~slot ~box ~skip_x
-            ~shared_addr:(fun p -> Common.Layout.addr lay ~array ~slot p);
+          Common.load_box_rows ctx ~grid ~slot ~box ~skip_x
+            ~shared_addr:(Common.Layout.addr lay ~key);
           (* dynamic reuse: move the overlap within shared memory *)
           match (strat.reuse, pbox) with
           | Dynamic, Some pb ->
               let overlap = Common.box_inter box pb in
               if not (Common.box_is_empty overlap) then
-                Common.shared_copy_rows ctx ~box:overlap ~shared_addr:(fun p ->
-                    Common.Layout.addr lay ~array ~slot p)
+                Common.shared_copy_rows ctx ~box:overlap
+                  ~shared_addr:(Common.Layout.addr lay ~key)
           | _ -> ());
       Sim.sync ctx.sim
     end;
@@ -319,7 +304,8 @@ let run ?pool ?engine ?(analytic = false) ?(name = "hybrid") ?config prog env de
     let replay = match strat.reuse with Static -> 2 | _ -> 1 in
     let pending_sync = ref false in
     let nsteps = ref 0 in
-    let copyout : (string, int list ref) Hashtbl.t = Hashtbl.create 4 in
+    (* written cells per array, in write order, at the array's first key *)
+    let copyout = Array.make (Common.nkeys prog) [] in
     iter_tile ~u0 ~s00 ~cls
       ~on_step:(fun () ->
         if !pending_sync then Sim.sync ctx.sim;
@@ -337,24 +323,12 @@ let run ?pool ?engine ?(analytic = false) ?(name = "hybrid") ?config prog env de
           let wa = stmt.Stencil.write in
           let g = Grid.find ctx.grids wa.array in
           let slot = Grid.slot g (tstep + wa.time_off) in
-          let cells =
-            match Hashtbl.find_opt copyout wa.array with
-            | Some l -> l
-            | None ->
-                let l = ref [] in
-                Hashtbl.replace copyout wa.array l;
-                l
-          in
+          let k = Common.store_key prog wa.array in
           let p = Array.mapi (fun d o -> point.(d) + o) wa.offsets in
           Array.iter
             (fun x ->
               p.(dims - 1) <- x + wa.offsets.(dims - 1);
-              let full =
-                match g.decl.fold with
-                | Some _ -> Array.append [| slot |] p
-                | None -> Array.copy p
-              in
-              cells := Grid.offset g full :: !cells)
+              copyout.(k) <- Common.flat g ~slot p :: copyout.(k))
             xs
         end);
     if !pending_sync then Sim.sync ctx.sim;
@@ -367,13 +341,15 @@ let run ?pool ?engine ?(analytic = false) ?(name = "hybrid") ?config prog env de
       for _ = !nsteps + 1 to height do
         Sim.sync ctx.sim
       done;
-    (* copy-out *)
-    if strat.use_shared && not strat.interleave then
-      Hashtbl.iter
-        (fun arr cells ->
-          Common.store_cells ctx ~grid:(Grid.find ctx.grids arr)
-            ~cells:(List.rev !cells) ~via_shared:true)
-        copyout;
+    (* copy-out, arrays in declaration order *)
+    List.iter
+      (fun (d : Stencil.array_decl) ->
+        match copyout.(Common.store_key prog d.aname) with
+        | [] -> ()
+        | cells ->
+            Common.store_cells ctx ~grid:(Grid.find ctx.grids d.aname)
+              ~cells:(List.rev cells) ~via_shared:true)
+      prog.arrays;
     lay
   in
   (* Tile class of a block: u0 plus, per hexagon row, the left/right

@@ -32,32 +32,24 @@ let dilate (region : Common.box) ~by ~lo ~hi =
     bhi = Array.mapi (fun d h -> min hi.(d) (h + by.(d))) region.bhi;
   }
 
-(* (array, slot) pairs that must be preloaded: read before written, at
-   slot granularity (exact for shrinking trapezoids). Listed in
-   declaration order, slots ascending, so the copy-in's load order (and
-   with it the L2/DRAM counters) never depends on array names. *)
+(* Which (array, slot) keys must be preloaded: read before written, at
+   slot granularity (exact for shrinking trapezoids). *)
 let needed_slots (ctx : Common.ctx) ~tt0 ~hh_eff =
-  let needed = Hashtbl.create 8 and written = Hashtbl.create 8 in
+  let n = Common.nkeys ctx.prog in
+  let needed = Array.make n false and written = Array.make n false in
   for j = 0 to hh_eff - 1 do
-    let t = tt0 + j in
+    let tstep = tt0 + j in
     Array.iter
       (fun (s : Stencil.stmt) ->
         List.iter
-          (fun (a : Stencil.access) ->
-            let g = Grid.find ctx.grids a.array in
-            let key = (a.array, Grid.slot g (t + a.time_off)) in
-            if not (Hashtbl.mem written key) then Hashtbl.replace needed key ())
+          (fun a ->
+            let k = Common.Layout.key ctx a ~tstep in
+            if not written.(k) then needed.(k) <- true)
           (Stencil.reads s);
-        let g = Grid.find ctx.grids s.write.array in
-        Hashtbl.replace written (s.write.array, Grid.slot g (t + s.write.time_off)) ())
+        written.(Common.Layout.key ctx s.write ~tstep) <- true)
       ctx.stmts
   done;
-  List.concat_map
-    (fun (d : Stencil.array_decl) ->
-      List.filter_map
-        (fun slot -> if Hashtbl.mem needed (d.aname, slot) then Some (d.aname, slot) else None)
-        (Intutil.range 0 (Option.value d.fold ~default:1 - 1)))
-    ctx.prog.arrays
+  needed
 
 let run ?pool ?engine ?config prog env dev =
   let ctx = Common.make_ctx ?engine prog env dev in
@@ -112,7 +104,6 @@ let run ?pool ?engine ?config prog env dev =
           }
         in
         if not (Common.box_is_empty out) then begin
-          (* copy-in: one shared box per accessed (array, slot) *)
           let copy_by = Array.mapi (fun d r -> r + rad.(d)) (reach (ctx.k * (hh_eff - 1))) in
           let inbox (arr : string) =
             let g = Grid.find ctx.grids arr in
@@ -120,31 +111,26 @@ let run ?pool ?engine ?config prog env dev =
             dilate out ~by:copy_by ~lo:(Array.make ctx.dims 0)
               ~hi:(Array.init ctx.dims (fun d -> g.dims.(gbase + d) - 1))
           in
-          let lay = Common.Layout.create () in
-          let alloc_box (arr, slot) aname =
-            if Common.Layout.find lay ~array:arr ~slot = None then
-              Common.Layout.add lay ~array:arr ~slot (inbox aname)
-          in
-          (* allocate shared boxes for every (array, slot) touched *)
+          (* one shared box per (array, slot) touched *)
+          let lay = Common.Layout.create ctx in
           List.iter
             (fun (s : Stencil.stmt) ->
               List.iter
                 (fun (a : Stencil.access) ->
-                  let g = Grid.find ctx.grids a.array in
+                  let box = inbox a.array in
                   for j = 0 to hh_eff - 1 do
-                    alloc_box (a.array, Grid.slot g (tt0v + j + a.time_off)) a.array
+                    Common.Layout.add lay
+                      ~key:(Common.Layout.key ctx a ~tstep:(tt0v + j))
+                      box
                   done)
                 (s.write :: Stencil.reads s))
             ctx.prog.stmts;
-          List.iter
-            (fun (arr, slot) ->
-              match Common.Layout.find lay ~array:arr ~slot with
-              | None -> ()
-              | Some box ->
-                  Common.load_box_rows ctx ~grid:(Grid.find ctx.grids arr) ~slot ~box
-                    ~skip_x:(fun _ -> None)
-                    ~shared_addr:(fun p -> Common.Layout.addr lay ~array:arr ~slot p))
-            needed;
+          (* copy-in: the slots read before they are written, in key order
+             (declaration order, slots ascending) *)
+          Common.Layout.iter lay ctx ~f:(fun ~grid ~slot ~key box ->
+              if needed.(key) then
+                Common.load_box_rows ctx ~grid ~slot ~box ~skip_x:(fun _ -> None)
+                  ~shared_addr:(Common.Layout.addr lay ~key));
           Sim.sync ctx.sim;
           (* the shrinking trapezoid: statement [si]'s region at step [j] *)
           let regions =

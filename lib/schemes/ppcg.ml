@@ -16,30 +16,6 @@ let default_tile ~dims =
       t.(dims - 2) <- 8;
       t
 
-(* The rectangular input boxes a tile region needs, per (array, slot):
-   the region dilated by each read's offsets, clipped to array extents. *)
-let input_boxes (ctx : Common.ctx) (stmt : Stencil.stmt) ~tstep ~(region : Common.box) =
-  let boxes = Hashtbl.create 4 in
-  List.iter
-    (fun (r : Stencil.access) ->
-      let g = Grid.find ctx.grids r.array in
-      let slot = Grid.slot g (tstep + r.time_off) in
-      let spatial_dims = Array.length r.offsets in
-      let ext d = g.dims.(Array.length g.dims - spatial_dims + d) in
-      let blo = Array.mapi (fun d l -> max 0 (l + r.offsets.(d))) region.blo in
-      let bhi = Array.mapi (fun d h -> min (ext d - 1) (h + r.offsets.(d))) region.bhi in
-      let key = (r.array, slot) in
-      match Hashtbl.find_opt boxes key with
-      | None -> Hashtbl.replace boxes key { Common.blo; bhi }
-      | Some (b : Common.box) ->
-          Hashtbl.replace boxes key
-            {
-              Common.blo = Array.map2 min b.blo blo;
-              bhi = Array.map2 max b.bhi bhi;
-            })
-    (Stencil.distinct_reads stmt);
-  boxes
-
 let run ?pool ?engine ?(config = default_config) ?(name = "ppcg") prog env dev =
   let ctx = Common.make_ctx ?engine prog env dev in
   let tile =
@@ -78,12 +54,12 @@ let run ?pool ?engine ?(config = default_config) ?(name = "ppcg") prog env dev =
                 }
               in
               if not (Common.box_is_empty region) then begin
-                (* copy-in *)
-                let lay = Common.Layout.create () in
-                let boxes = input_boxes ctx stmt ~tstep ~region in
-                Hashtbl.iter
-                  (fun (arr, slot) box -> Common.Layout.add lay ~array:arr ~slot box)
-                  boxes;
+                (* copy-in: the region dilated by each read's offsets,
+                   clipped to the grid, per (array, slot) *)
+                let lay = Common.Layout.create ctx in
+                List.iter
+                  (fun a -> Common.Layout.cover lay ctx a ~tstep region)
+                  (Stencil.distinct_reads stmt);
                 Common.load_layout ctx lay;
                 Sim.sync ctx.sim;
                 (* compute *)

@@ -1,4 +1,3 @@
-open Hextile_ir
 open Hextile_gpusim
 open Hextile_util
 open Hextile_deps
@@ -44,14 +43,10 @@ let run ?pool ?engine ?(config = default_config) prog env dev =
   (* copy-in: [inlo, inhi] of every (array, slot) into shared memory;
      returns the shared address of an access *)
   let copy_in ~t0 ~inlo ~inhi =
-    let lay = Common.Layout.create () in
-    let box = { Common.blo = [| inlo |]; bhi = [| inhi |] } in
-    List.iter
-      (fun (d : Stencil.array_decl) ->
-        for slot = 0 to Option.value d.fold ~default:1 - 1 do
-          Common.Layout.add lay ~array:d.aname ~slot box
-        done)
-      prog.arrays;
+    let lay = Common.Layout.create ctx in
+    for key = 0 to Common.nkeys prog - 1 do
+      Common.Layout.add lay ~key { Common.blo = [| inlo |]; bhi = [| inhi |] }
+    done;
     Common.load_layout ctx lay;
     Sim.sync ctx.sim;
     Common.Layout.access_addr lay ctx ~tstep:t0

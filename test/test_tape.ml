@@ -125,31 +125,48 @@ let rename_arrays (p : Stencil.t) names =
         p.stmts;
   }
 
-(* Arrays are placed in declaration order, so renaming them must not
-   move any counter. Overtile's copy-in and copy-out visit (array, slot)
-   pairs in that order too, never in name-hash order: on the scaled
-   device the L2 is small enough that the order shows in the DRAM
-   counters of fdtd2d (three arrays) and wave2d (one array, three
-   storage slots). *)
-let test_overtile_counters_name_independent () =
-  let params = [ ("N", 48); ("T", 12) ] in
-  let counters prog =
-    let dev = Experiments.scaled_device Device.gtx470 prog params in
-    Counters.to_assoc (Overtile.run prog (fun p -> List.assoc p params) dev).counters
+(* Arrays are placed in declaration order, and every scheme keys its
+   per-block (array, slot) boxes, copy-in and copy-out by declaration
+   order too, so renaming the arrays must not move any counter. On the
+   scaled device the L2 is small enough that a name-dependent order
+   shows in the DRAM counters of programs that copy in several
+   (array, slot) pairs: fdtd2d's three arrays, and the two or three
+   storage slots of the single-array programs. *)
+let test_counters_name_independent () =
+  let dev prog params = Experiments.scaled_device Device.gtx470 prog params in
+  let counters params run prog =
+    let env p = List.assoc p params in
+    Counters.to_assoc (run prog env (dev prog params) : Common.result).counters
   in
+  let schemes =
+    [
+      ("hybrid", fun p e d -> Hybrid_exec.run p e d);
+      ("hybrid-analytic", fun p e d -> Hybrid_exec.run ~analytic:true p e d);
+      ("ppcg", fun p e d -> Ppcg.run p e d);
+      ("par4all", fun p e d -> Par4all.run p e d);
+      ("overtile", fun p e d -> Overtile.run p e d);
+    ]
+  and split = [ ("split", fun p e d -> Split_tiling.run p e d) ] in
+  let one = [ [ "B" ]; [ "u" ]; [ "arrkxte" ]; [ "zz" ] ] in
+  let n2 = [ ("N", 48); ("T", 12) ] in
   List.iter
-    (fun (prog, renamings) ->
-      let base = counters prog in
+    (fun (prog, params, schemes, renamings) ->
       List.iter
-        (fun names ->
-          Alcotest.(check (list (pair string int)))
-            (Fmt.str "%s overtile counters, arrays %s" prog.Stencil.name
-               (String.concat "," names))
-            base
-            (counters (rename_arrays prog names)))
-        renamings)
+        (fun (scheme, run) ->
+          let base = counters params run prog in
+          List.iter
+            (fun names ->
+              Alcotest.(check (list (pair string int)))
+                (Fmt.str "%s %s counters, arrays %s" prog.Stencil.name scheme
+                   (String.concat "," names))
+                base
+                (counters params run (rename_arrays prog names)))
+            renamings)
+        schemes)
     [
       ( Suite.fdtd2d,
+        n2,
+        schemes,
         [
           [ "hz"; "ex"; "ey" ];
           [ "arrq"; "arrb"; "arrz" ];
@@ -158,7 +175,11 @@ let test_overtile_counters_name_independent () =
           [ "zz"; "yy"; "xx" ];
           [ "E_y"; "E_x"; "H_z" ];
         ] );
-      (Suite.wave2d, [ [ "B" ]; [ "u" ]; [ "arrkxte" ]; [ "zz" ] ]);
+      (Suite.wave2d, n2, schemes, one);
+      (Suite.laplacian2d, n2, schemes, one);
+      (Suite.laplacian3d, [ ("N", 24); ("T", 6) ], schemes, one);
+      (Suite.heat1d, [ ("N", 200); ("T", 12) ], split, one);
+      (Suite.contrived, [ ("N", 200); ("T", 12) ], split, one);
     ]
 
 (* Overtile's block body runs on the block store: its steady state must
@@ -298,10 +319,10 @@ let suite =
     Alcotest.test_case "tile-class memoization fires" `Quick test_memoization_fires;
     Alcotest.test_case "sanitizer forces uncached execution" `Quick
       test_sanitizer_disables_memoization;
-    Alcotest.test_case "overtile counters independent of array names" `Quick
-      test_overtile_counters_name_independent;
     Alcotest.test_case "overtile block execution allocation budget" `Quick
       test_overtile_allocation_budget;
     Alcotest.test_case "unequal s0 strides run live" `Quick
       test_unequal_strides_run_live;
+    Alcotest.test_case "counters independent of array names" `Quick
+      test_counters_name_independent;
   ]
