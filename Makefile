@@ -14,13 +14,14 @@ fmt:
 	dune build @fmt --auto-promote 2>/dev/null || true
 
 # Everything CI enforces: a clean build, the full test suite, a
-# profile report that parses as JSON, the fixed-seed fuzz smoke and
+# profile report that parses as JSON and leaves no parent span more
+# than 10% unattributed, the fixed-seed fuzz smoke and
 # the layered benchmark's smoke (~30 s).
 check: build test profile-smoke fuzz perfbench-smoke
 
 profile-smoke:
 	dune exec bin/hextile.exe -- profile --builtin jacobi2d -N 64 -T 16 -o _build/prof_smoke.json
-	@python3 -c "import json; json.load(open('_build/prof_smoke.json'))" && echo "profile JSON ok"
+	python3 scripts/check_profile.py _build/prof_smoke.json
 
 # Fixed-seed differential-testing smoke: a clean campaign across all
 # schemes, then a mutation self-test (inject an off-by-one into the

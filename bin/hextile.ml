@@ -413,9 +413,6 @@ let profile_cmd =
               let stats = Tile_size.tile_stats tiling in
               Obs.annot "loads_per_iteration" (Obs.Float stats.ratio);
               Obs.annot "shared_footprint_floats" (Obs.Int stats.footprint_box);
-              (match Hybrid.check_legality tiling (env_of ~n ~t) with
-              | Ok () -> Obs.annot "legality" (Obs.Str "ok")
-              | Error m -> Obs.annot "legality" (Obs.Str ("FAILED: " ^ m)));
               (h, w, tiling))
         in
         Obs.span "codegen" (fun () ->

@@ -137,6 +137,7 @@ let run_scheme ?pool ?engine ?analytic ?(verify = true) scheme (prog : Stencil.t
   let dev = scaled_device dev prog env in
   let e = env_fn env in
   let r =
+    Obs.span "experiments.simulate" @@ fun () ->
     match scheme with
     | Ppcg -> Ppcg.run ?pool ?engine prog e dev
     | Par4all -> Par4all.run ?pool ?engine prog e dev

@@ -1,17 +1,13 @@
-(* Flat register-machine tapes: the warp-batched statement evaluator.
+(* Flat register-machine tapes and their fused run plans.
 
-   A tape is the closure-free form of one statement's right-hand side.
-   Registers are structure-of-arrays 32-lane float buffers packed into a
-   single scratch array (register r occupies words [r*lanes, r*lanes+n)).
-   Registers 0..nsrcs-1 are the statement's distinct reads, blitted from
-   the grids once per row chunk; the remaining registers hold
-   intermediate results. One [exec] retires a whole warp's worth of
-   statement instances with four tight array loops per operation and no
-   allocation, where the closure interpreter paid a tree walk and a
-   closure call per node per lane.
-
-   Evaluation order per lane is exactly the closure interpreter's
-   post-order walk, so results are bit-identical IEEE doubles. *)
+   A tape is the closure-free form of one statement's right-hand side: a
+   straight-line register program whose registers 0..nsrcs-1 are the
+   statement's distinct reads, in the closure interpreter's post-order
+   walk. Tapes are only a compile form. [plan] peephole-compiles one
+   into fused superinstructions, and [exec_plan], the only evaluator,
+   runs a whole row of lanes through them: sources are read in place
+   from the grids, single-use intermediates never touch scratch, and the
+   result is stored straight into the output grid. *)
 
 type instr =
   | Const of { dst : int; v : float }
@@ -22,8 +18,6 @@ type instr =
   | Div of { dst : int; a : int; b : int }
 
 type t = { nsrcs : int; nregs : int; result : int; instrs : instr array }
-
-let lanes = 32
 
 let make ~nsrcs ~nregs ~result ~instrs =
   let check_reg what r =
@@ -48,76 +42,13 @@ let make ~nsrcs ~nregs ~result ~instrs =
 
 let length t = Array.length t.instrs
 
-type scratch = float array
-
-let scratch t : scratch = Array.make (max 1 (t.nregs * lanes)) 0.0
-
-let scratch_fits t (s : scratch) = Array.length s >= t.nregs * lanes
-
-(* [make] bounds every register below [nregs] and the caller passes a
-   scratch of at least nregs*lanes words with n <= lanes, so the unsafe
-   accesses below stay inside the scratch. *)
-let exec t (regs : scratch) ~(datas : float array array) ~(bases : int array)
-    ~dx ~n ~(out : float array) ~out_base =
-  if n < 0 || n > lanes then invalid_arg "Tape.exec: n out of [0, 32]";
-  if not (scratch_fits t regs) then invalid_arg "Tape.exec: scratch too small";
-  for s = 0 to t.nsrcs - 1 do
-    (* Array.blit bounds-checks, backstopping the callers' row validation *)
-    Array.blit datas.(s) (bases.(s) + dx) regs (s * lanes) n
-  done;
-  let instrs = t.instrs in
-  for i = 0 to Array.length instrs - 1 do
-    match Array.unsafe_get instrs i with
-    | Const { dst; v } -> Array.fill regs (dst * lanes) n v
-    | Neg { dst; a } ->
-        let d = dst * lanes and a = a * lanes in
-        for j = 0 to n - 1 do
-          Array.unsafe_set regs (d + j) (-.Array.unsafe_get regs (a + j))
-        done
-    | Add { dst; a; b } ->
-        let d = dst * lanes and a = a * lanes and b = b * lanes in
-        for j = 0 to n - 1 do
-          Array.unsafe_set regs (d + j)
-            (Array.unsafe_get regs (a + j) +. Array.unsafe_get regs (b + j))
-        done
-    | Sub { dst; a; b } ->
-        let d = dst * lanes and a = a * lanes and b = b * lanes in
-        for j = 0 to n - 1 do
-          Array.unsafe_set regs (d + j)
-            (Array.unsafe_get regs (a + j) -. Array.unsafe_get regs (b + j))
-        done
-    | Mul { dst; a; b } ->
-        let d = dst * lanes and a = a * lanes and b = b * lanes in
-        for j = 0 to n - 1 do
-          Array.unsafe_set regs (d + j)
-            (Array.unsafe_get regs (a + j) *. Array.unsafe_get regs (b + j))
-        done
-    | Div { dst; a; b } ->
-        let d = dst * lanes and a = a * lanes and b = b * lanes in
-        for j = 0 to n - 1 do
-          Array.unsafe_set regs (d + j)
-            (Array.unsafe_get regs (a + j) /. Array.unsafe_get regs (b + j))
-        done
-  done;
-  Array.blit regs (t.result * lanes) out out_base n
-
-(* ---- fused run plans -------------------------------------------------
-
-   The analytic epilogue replays a class's compute rows once per member
-   block — billions of statement instances on the full-size paper
-   grids — so the per-lane cost of [exec] (one scratch pass per source
-   blit, per instruction, and per result blit) dominates the whole
-   simulation. A plan is the same tape peephole-compiled into fused
-   superinstructions that read sources in place from the grids, keep
-   single-use intermediates out of scratch entirely, and store the
-   result straight into the output grid.
-
-   Bit-exactness: every superinstruction evaluates exactly the float
+(* Bit-exactness: every superinstruction evaluates exactly the float
    operations of the scalar instruction sequence it replaces, on the
-   same operands in the same per-lane order — fusion only eliminates
+   same operands in the same per-lane order. Fusion only eliminates
    materializations of single-use intermediates (a memory round-trip,
    not an arithmetic op), and multiplications keep their original
-   operand order, so plan execution is IEEE-identical to [exec]. *)
+   operand order, so each lane's value is the IEEE double a scalar walk
+   of the tape computes. *)
 
 type pop = Psrc of int | Preg of int
 type pdst = Dreg of int | Dout
@@ -143,7 +74,6 @@ type plan = {
   pinstrs : pinstr array;
   pregs : int;  (** materialized plan registers (scratch is pregs*strip) *)
   psrcs : int array;  (** distinct source registers the plan reads *)
-  pops : int;  (** fused passes per strip window, for diagnostics *)
 }
 
 (* Strip width of plan execution: wide enough to amortize pass setup,
@@ -402,133 +332,131 @@ let plan (t : t) =
   for s = t.nsrcs - 1 downto 0 do
     if srcs.(s) then psrcs := s :: !psrcs
   done;
-  {
-    pinstrs = instrs;
-    pregs = !nreg;
-    psrcs = Array.of_list !psrcs;
-    pops = Array.length instrs;
-  }
+  { pinstrs = instrs; pregs = !nreg; psrcs = Array.of_list !psrcs }
 
 let plan_scratch_words p = max 1 (p.pregs * strip)
 
-let exec_plan p (regs : scratch) ~(datas : float array array)
+(* Operand and destination addressing for one strip. [soff] is the
+   strip's source lane offset (dx plus the strip start) and [doff] its
+   output offset; plan registers sit at fixed strip-sized slots in the
+   scratch. Top-level rather than closures over the call's arguments,
+   so that [exec_plan] allocates nothing. *)
+let arr_of datas regs = function Psrc s -> datas.(s) | Preg _ -> regs
+let off_of bases soff = function Psrc s -> bases.(s) + soff | Preg r -> r * strip
+let darr_of out regs = function Dreg _ -> regs | Dout -> out
+let doff_of doff = function Dreg r -> r * strip | Dout -> doff
+
+(* One fused pass over [nl] lanes of a strip. *)
+let exec_pass datas bases regs out ~soff ~doff nl = function
+  | P_const { dst; v } -> Array.fill (darr_of out regs dst) (doff_of doff dst) nl v
+  | P_copy { dst; a } ->
+      Array.blit (arr_of datas regs a) (off_of bases soff a) (darr_of out regs dst)
+        (doff_of doff dst) nl
+  | P_neg { dst; a } ->
+      let av = arr_of datas regs a and ao = off_of bases soff a in
+      let ev = darr_of out regs dst and eo = doff_of doff dst in
+      for j = 0 to nl - 1 do
+        Array.unsafe_set ev (eo + j) (-.Array.unsafe_get av (ao + j))
+      done
+  | P_bin { op; dst; a; b } -> (
+      let av = arr_of datas regs a and ao = off_of bases soff a in
+      let bv = arr_of datas regs b and bo = off_of bases soff b in
+      let ev = darr_of out regs dst and eo = doff_of doff dst in
+      match op with
+      | Badd ->
+          for j = 0 to nl - 1 do
+            Array.unsafe_set ev (eo + j)
+              (Array.unsafe_get av (ao + j) +. Array.unsafe_get bv (bo + j))
+          done
+      | Bsub ->
+          for j = 0 to nl - 1 do
+            Array.unsafe_set ev (eo + j)
+              (Array.unsafe_get av (ao + j) -. Array.unsafe_get bv (bo + j))
+          done
+      | Bmul ->
+          for j = 0 to nl - 1 do
+            Array.unsafe_set ev (eo + j)
+              (Array.unsafe_get av (ao + j) *. Array.unsafe_get bv (bo + j))
+          done
+      | Bdiv ->
+          for j = 0 to nl - 1 do
+            Array.unsafe_set ev (eo + j)
+              (Array.unsafe_get av (ao + j) /. Array.unsafe_get bv (bo + j))
+          done)
+  | P_sum3 { dst; a; b; c } ->
+      let av = arr_of datas regs a and ao = off_of bases soff a in
+      let bv = arr_of datas regs b and bo = off_of bases soff b in
+      let cv = arr_of datas regs c and co = off_of bases soff c in
+      let ev = darr_of out regs dst and eo = doff_of doff dst in
+      for j = 0 to nl - 1 do
+        Array.unsafe_set ev (eo + j)
+          (Array.unsafe_get av (ao + j)
+          +. Array.unsafe_get bv (bo + j)
+          +. Array.unsafe_get cv (co + j))
+      done
+  | P_sum4 { dst; a; b; c; d } ->
+      let av = arr_of datas regs a and ao = off_of bases soff a in
+      let bv = arr_of datas regs b and bo = off_of bases soff b in
+      let cv = arr_of datas regs c and co = off_of bases soff c in
+      let dv = arr_of datas regs d and d_o = off_of bases soff d in
+      let ev = darr_of out regs dst and eo = doff_of doff dst in
+      for j = 0 to nl - 1 do
+        Array.unsafe_set ev (eo + j)
+          (Array.unsafe_get av (ao + j)
+          +. Array.unsafe_get bv (bo + j)
+          +. Array.unsafe_get cv (co + j)
+          +. Array.unsafe_get dv (d_o + j))
+      done
+  | P_mulc { dst; k; a; kleft } ->
+      let av = arr_of datas regs a and ao = off_of bases soff a in
+      let ev = darr_of out regs dst and eo = doff_of doff dst in
+      if kleft then
+        for j = 0 to nl - 1 do
+          Array.unsafe_set ev (eo + j) (k *. Array.unsafe_get av (ao + j))
+        done
+      else
+        for j = 0 to nl - 1 do
+          Array.unsafe_set ev (eo + j) (Array.unsafe_get av (ao + j) *. k)
+        done
+  | P_axpby { dst; ka; a; kb; b } ->
+      let av = arr_of datas regs a and ao = off_of bases soff a in
+      let bv = arr_of datas regs b and bo = off_of bases soff b in
+      let ev = darr_of out regs dst and eo = doff_of doff dst in
+      for j = 0 to nl - 1 do
+        Array.unsafe_set ev (eo + j)
+          ((ka *. Array.unsafe_get av (ao + j))
+          +. (kb *. Array.unsafe_get bv (bo + j)))
+      done
+  | P_submulc { dst; a; k; b } ->
+      let av = arr_of datas regs a and ao = off_of bases soff a in
+      let bv = arr_of datas regs b and bo = off_of bases soff b in
+      let ev = darr_of out regs dst and eo = doff_of doff dst in
+      for j = 0 to nl - 1 do
+        Array.unsafe_set ev (eo + j)
+          (Array.unsafe_get av (ao + j) -. (k *. Array.unsafe_get bv (bo + j)))
+      done
+
+let exec_plan p (regs : float array) ~(datas : float array array)
     ~(bases : int array) ~dx ~n ~(out : float array) ~out_base =
   if n < 0 then invalid_arg "Tape.exec_plan: negative n";
   (* one bounds pass over the whole run backstops the callers' row
      validation; the strip loops below then run unchecked *)
-  Array.iter
-    (fun s ->
-      let b = bases.(s) + dx in
-      if b < 0 || b + n > Array.length datas.(s) then
-        invalid_arg "Tape.exec_plan: source row out of bounds")
-    p.psrcs;
+  for k = 0 to Array.length p.psrcs - 1 do
+    let s = p.psrcs.(k) in
+    let b = bases.(s) + dx in
+    if b < 0 || b + n > Array.length datas.(s) then
+      invalid_arg "Tape.exec_plan: source row out of bounds"
+  done;
   if out_base < 0 || out_base + n > Array.length out then
     invalid_arg "Tape.exec_plan: output row out of bounds";
   if Array.length regs < p.pregs * strip then
     invalid_arg "Tape.exec_plan: scratch too small";
-  let arr_of = function Psrc s -> datas.(s) | Preg _ -> regs in
-  let darr_of = function Dreg _ -> regs | Dout -> out in
-  let i = ref 0 in
-  while !i < n do
-    let i0 = !i in
-    let nl = min strip (n - i0) in
-    let off_of = function
-      | Psrc s -> bases.(s) + dx + i0
-      | Preg r -> r * strip
-    in
-    let doff_of = function Dreg r -> r * strip | Dout -> out_base + i0 in
-    let pi = p.pinstrs in
+  let pi = p.pinstrs in
+  for w = 0 to ((n + strip - 1) / strip) - 1 do
+    let i0 = w * strip in
+    let nl = Int.min strip (n - i0) in
     for k = 0 to Array.length pi - 1 do
-      match Array.unsafe_get pi k with
-      | P_const { dst; v } -> Array.fill (darr_of dst) (doff_of dst) nl v
-      | P_copy { dst; a } ->
-          Array.blit (arr_of a) (off_of a) (darr_of dst) (doff_of dst) nl
-      | P_neg { dst; a } ->
-          let av = arr_of a and ao = off_of a in
-          let ev = darr_of dst and eo = doff_of dst in
-          for j = 0 to nl - 1 do
-            Array.unsafe_set ev (eo + j) (-.Array.unsafe_get av (ao + j))
-          done
-      | P_bin { op; dst; a; b } -> (
-          let av = arr_of a and ao = off_of a in
-          let bv = arr_of b and bo = off_of b in
-          let ev = darr_of dst and eo = doff_of dst in
-          match op with
-          | Badd ->
-              for j = 0 to nl - 1 do
-                Array.unsafe_set ev (eo + j)
-                  (Array.unsafe_get av (ao + j) +. Array.unsafe_get bv (bo + j))
-              done
-          | Bsub ->
-              for j = 0 to nl - 1 do
-                Array.unsafe_set ev (eo + j)
-                  (Array.unsafe_get av (ao + j) -. Array.unsafe_get bv (bo + j))
-              done
-          | Bmul ->
-              for j = 0 to nl - 1 do
-                Array.unsafe_set ev (eo + j)
-                  (Array.unsafe_get av (ao + j) *. Array.unsafe_get bv (bo + j))
-              done
-          | Bdiv ->
-              for j = 0 to nl - 1 do
-                Array.unsafe_set ev (eo + j)
-                  (Array.unsafe_get av (ao + j) /. Array.unsafe_get bv (bo + j))
-              done)
-      | P_sum3 { dst; a; b; c } ->
-          let av = arr_of a and ao = off_of a in
-          let bv = arr_of b and bo = off_of b in
-          let cv = arr_of c and co = off_of c in
-          let ev = darr_of dst and eo = doff_of dst in
-          for j = 0 to nl - 1 do
-            Array.unsafe_set ev (eo + j)
-              (Array.unsafe_get av (ao + j)
-              +. Array.unsafe_get bv (bo + j)
-              +. Array.unsafe_get cv (co + j))
-          done
-      | P_sum4 { dst; a; b; c; d } ->
-          let av = arr_of a and ao = off_of a in
-          let bv = arr_of b and bo = off_of b in
-          let cv = arr_of c and co = off_of c in
-          let dv = arr_of d and d_o = off_of d in
-          let ev = darr_of dst and eo = doff_of dst in
-          for j = 0 to nl - 1 do
-            Array.unsafe_set ev (eo + j)
-              (Array.unsafe_get av (ao + j)
-              +. Array.unsafe_get bv (bo + j)
-              +. Array.unsafe_get cv (co + j)
-              +. Array.unsafe_get dv (d_o + j))
-          done
-      | P_mulc { dst; k; a; kleft } ->
-          let av = arr_of a and ao = off_of a in
-          let ev = darr_of dst and eo = doff_of dst in
-          if kleft then
-            for j = 0 to nl - 1 do
-              Array.unsafe_set ev (eo + j) (k *. Array.unsafe_get av (ao + j))
-            done
-          else
-            for j = 0 to nl - 1 do
-              Array.unsafe_set ev (eo + j) (Array.unsafe_get av (ao + j) *. k)
-            done
-      | P_axpby { dst; ka; a; kb; b } ->
-          let av = arr_of a and ao = off_of a in
-          let bv = arr_of b and bo = off_of b in
-          let ev = darr_of dst and eo = doff_of dst in
-          for j = 0 to nl - 1 do
-            Array.unsafe_set ev (eo + j)
-              ((ka *. Array.unsafe_get av (ao + j))
-              +. (kb *. Array.unsafe_get bv (bo + j)))
-          done
-      | P_submulc { dst; a; k; b } ->
-          let av = arr_of a and ao = off_of a in
-          let bv = arr_of b and bo = off_of b in
-          let ev = darr_of dst and eo = doff_of dst in
-          for j = 0 to nl - 1 do
-            Array.unsafe_set ev (eo + j)
-              (Array.unsafe_get av (ao + j)
-              -. (k *. Array.unsafe_get bv (bo + j)))
-          done
-    done;
-    i := i0 + nl
+      exec_pass datas bases regs out ~soff:(dx + i0) ~doff:(out_base + i0) nl
+        (Array.unsafe_get pi k)
+    done
   done
-
-let plan_passes p = p.pops

@@ -68,9 +68,6 @@ let write_access tbl (a : Stencil.access) ~t ~point v =
   let g = find tbl a.array in
   set g (full_index g a ~time:t ~point) v
 
-let flat_index_of_access g (a : Stencil.access) ~time ~point =
-  offset g (full_index g a ~time ~point)
-
 let checksum g = Array.fold_left ( +. ) 0.0 g.data
 
 let equal ?(eps = 0.0) a b =

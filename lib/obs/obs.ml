@@ -226,41 +226,6 @@ let to_json () =
       ("events", Json.List (List.map json_of_event rt.events));
     ]
 
-let pp_value ppf = function
-  | Bool b -> Fmt.bool ppf b
-  | Int i -> Fmt.int ppf i
-  | Float f -> Fmt.pf ppf "%g" f
-  | Str s -> Fmt.string ppf s
-
-let pp_attrs ppf = function
-  | [] -> ()
-  | attrs ->
-      Fmt.pf ppf " [%a]"
-        Fmt.(list ~sep:(any " ") (pair ~sep:(any "=") string pp_value))
-        attrs
-
-let pp_text ppf () =
-  let rec pp_tree indent (t : span_tree) =
-    Fmt.pf ppf "%s%-30s %s%a@."
-      (String.make indent ' ')
-      t.sname
-      (if t.dur_s >= 0.0 then Fmt.str "%8.3f ms" (1e3 *. t.dur_s) else "   (open)")
-      pp_attrs t.attrs;
-    List.iter
-      (fun (name, t_s, attrs) ->
-        Fmt.pf ppf "%s* %s @ %.3f ms%a@."
-          (String.make (indent + 2) ' ')
-          name (1e3 *. t_s) pp_attrs attrs)
-      t.events;
-    List.iter (pp_tree (indent + 2)) t.children
-  in
-  List.iter (pp_tree 0) (roots ());
-  match counters () with
-  | [] -> ()
-  | cs ->
-      Fmt.pf ppf "counters:@.";
-      List.iter (fun (k, v) -> Fmt.pf ppf "  %-34s %d@." k v) cs
-
 let write_json path =
   Out_channel.with_open_text path (fun oc ->
       Out_channel.output_string oc (Json.to_string (to_json ()));

@@ -120,9 +120,6 @@ val to_json : unit -> Json.t
     "spans": [...], "events": [...]}]. Span entries carry name, start,
     duration, attrs, events and children. *)
 
-val pp_text : Format.formatter -> unit -> unit
-(** Human-readable report: span tree with durations, then counters. *)
-
 val write_json : string -> unit
 (** [write_json path] writes {!to_json} (pretty-printed, trailing
     newline) to [path]. *)

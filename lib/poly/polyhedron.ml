@@ -6,17 +6,12 @@ type t = { space : Space.t; cs : Constr.t list }
 exception Unbounded of string
 
 let make space cs = { space; cs = List.map Constr.normalize cs }
-let universe space = { space; cs = [] }
 let space t = t.space
 let constraints t = t.cs
 let dim t = Space.dim t.space
 
 let add_constraints t cs =
   { t with cs = List.rev_append (List.map Constr.normalize cs) t.cs }
-
-let intersect a b =
-  assert (dim a = dim b);
-  { a with cs = List.rev_append a.cs b.cs }
 
 let contains t x = List.for_all (fun c -> Constr.holds c x) t.cs
 

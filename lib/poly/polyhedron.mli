@@ -14,14 +14,11 @@ exception Unbounded of string
     direction being enumerated. *)
 
 val make : Space.t -> Constr.t list -> t
-val universe : Space.t -> t
 val space : t -> Space.t
 val constraints : t -> Constr.t list
 val dim : t -> int
 
 val add_constraints : t -> Constr.t list -> t
-val intersect : t -> t -> t
-(** Both arguments must have the same dimension. *)
 
 val contains : t -> int array -> bool
 

@@ -95,8 +95,6 @@ let to_affine_in ~dim e =
   in
   match go 1 e with () -> Some (coeffs, !const) | exception Nonaffine -> None
 
-let to_affine _ = None
-
 let rec pp_gen name ppf e =
   let pp = pp_gen name in
   match e with

@@ -29,10 +29,6 @@ val eval : t -> int array -> int
 val simplify : t -> t
 (** Constant folding and elimination of zero/identity operations. *)
 
-val to_affine : t -> (int array * int) option
-(** [to_affine e] for an ambient dimension inferred from use is not
-    possible; see [to_affine_in]. *)
-
 val to_affine_in : dim:int -> t -> (int array * int) option
 (** When [e] contains no [Fdiv]/[Fmod], its coefficient vector (of length
     [dim]) and constant. [None] otherwise. *)

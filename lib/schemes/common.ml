@@ -10,12 +10,10 @@ type compiled = {
   ceval : int -> int array -> float;  (** tstep -> point -> value *)
   cwgrid : Grid.t;
   cwflat : int -> int array -> int;  (** tstep -> point -> flat write index *)
-  tape : Tape.t option;
-      (** [None] when row batching would reorder an aliased read/write
-          (the per-lane interleaved reference order must be kept) *)
-  tplan : Tape.plan option;
-      (** the tape's fused run plan (compiled alongside it), for the
-          analytic epilogue's bulk row replay *)
+  tape : (Tape.t * Tape.plan) option;
+      (** the register tape and its fused run plan; [None] when row
+          batching would reorder an aliased read/write (the per-lane
+          interleaved reference order must be kept) *)
   tsrcs : (Grid.t * (int -> int array -> int)) array;
       (** per distinct read, in tape register order *)
   tdatas : float array array;  (** [tsrcs] data arrays (read-only share) *)
@@ -209,8 +207,7 @@ let compile_stmt (ctx : ctx) (s : Stencil.stmt) =
           ceval = comp s.rhs;
           cwgrid = wg;
           cwflat = access_flat ctx.grids s.write;
-          tape = Option.map fst tp;
-          tplan = Option.map snd tp;
+          tape = tp;
           tsrcs;
           tdatas = Array.map (fun ((g : Grid.t), _) -> g.data) tsrcs;
           caccs;
@@ -468,10 +465,10 @@ let chunks_of xs f =
     i := !i + len
   done
 
-(* Per-domain tape register file, grown on demand. Compiled statements
-   (and their tapes) are shared read-only across domains, so the mutable
+(* Per-domain plan scratch, grown on demand. Compiled statements (and
+   their plans) are shared read-only across domains, so the mutable
    scratch lives in domain-local storage instead. *)
-let scratch_key : Tape.scratch Domain.DLS.key = Domain.DLS.new_key (fun () -> [||])
+let scratch_key : float array Domain.DLS.key = Domain.DLS.new_key (fun () -> [||])
 
 let get_scratch words =
   let b = Domain.DLS.get scratch_key in
@@ -482,19 +479,17 @@ let get_scratch words =
     nb
   end
 
-(* [n] lanes of [tape] in warp chunks: sources at [datas.(k).(bases.(k) + j)],
+(* [sim.tape_instrs] of an [n]-lane row: the tape's instructions once
+   per warp chunk. *)
+let tape_instrs tape n = Tape.length tape * ((n + warp_size - 1) / warp_size)
+
+(* [n] lanes through the tape's plan: sources at [datas.(k).(bases.(k) + j)],
    lane [j]'s result to [out.(out_base + j)]. *)
-let run_tape (tape : Tape.t) ~datas ~bases ~n ~out ~out_base =
-  let regs = get_scratch (tape.nregs * Tape.lanes) in
-  let i = ref 0 in
-  while !i < n do
-    let nl = min Tape.lanes (n - !i) in
-    Tape.exec tape regs ~datas ~bases ~dx:!i ~n:nl ~out ~out_base:(out_base + !i);
-    i := !i + nl
-  done;
-  Obs.incr
-    ~by:(Tape.length tape * ((n + Tape.lanes - 1) / Tape.lanes))
-    "sim.tape_instrs"
+let run_tape (tape, plan) ~datas ~bases ~n ~out ~out_base =
+  Tape.exec_plan plan
+    (get_scratch (Tape.plan_scratch_words plan))
+    ~datas ~bases ~dx:0 ~n ~out ~out_base;
+  Obs.incr ~by:(tape_instrs tape n) "sim.tape_instrs"
 
 (* Run one statement row through its tape: [n] lanes with per-source flat
    word bases [src_flats] (tape register order) writing from flat word
@@ -602,11 +597,10 @@ let compile_rows ctx rows =
   Array.iter
     (fun (stmt_idx, tstep, wflat, srcs, n) ->
       let c = compile_stmt ctx ctx.stmts.(stmt_idx) in
-      match (c.tape, c.tplan) with
-      | Some tape, Some plan ->
+      match c.tape with
+      | Some (tape, plan) ->
           points := !points + n;
-          instrs :=
-            !instrs + (Tape.length tape * ((n + Tape.lanes - 1) / Tape.lanes));
+          instrs := !instrs + tape_instrs tape n;
           regs := max !regs (Tape.plan_scratch_words plan);
           let continues =
             match !pending with
@@ -642,7 +636,7 @@ let compile_rows ctx rows =
                   pout = c.cwgrid.data;
                 }
           end
-      | _ -> invalid_arg "Common.compile_rows: statement has no tape")
+      | None -> invalid_arg "Common.compile_rows: statement has no tape")
     rows;
   close ();
   {

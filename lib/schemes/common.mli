@@ -7,8 +7,8 @@ open Hextile_gpusim
 type engine = Ref | Tape
 (** Execution engine for statement rows. [Tape] (the default) runs
     warp-batched accounting through [Sim]'s allocation-free batched
-    events and evaluates statements with flat {!Hextile_gpusim.Tape}
-    register tapes over 32-lane buffers; [Ref] is the original per-lane
+    events and evaluates each statement row with one fused
+    {!Hextile_gpusim.Tape} plan call; [Ref] is the original per-lane
     closure interpreter, kept as the differential-testing reference.
     Both produce bit-identical grids and counters; when the
     {!Hextile_gpusim.Sanitize} sanitizer is enabled, the per-lane
@@ -286,8 +286,9 @@ val exec_rows : ctx -> crows -> off:int -> unit
     [sim.tape_instrs], and the rows retired through multi-row coalesced
     runs toward [sim.blit_rows] / [sim.analytic_blit_rows]. The caller
     guarantees the translated rows are in bounds — true for class
-    members, whose exact execution touches the same cells. Counter
-    effects are bit-identical to per-row 32-lane [Tape.exec] replay. *)
+    members, whose exact execution touches the same cells. Grids,
+    [ctx.updates] and [sim.tape_instrs] are bit-identical to replaying
+    each recorded row through {!exec_tape_row}. *)
 
 val points : crows -> int
 (** Statement instances one {!exec_rows} call executes (Σ row lanes). *)

@@ -465,6 +465,7 @@ let run ?pool ?engine ?(analytic = false) ?(name = "hybrid") ?config prog env de
       (Hex_schedule.time_tile t.hs ~phase:0 ~u:(ubound - 1))
       (Hex_schedule.time_tile t.hs ~phase:1 ~u:(ubound - 1))
   in
+  Obs.span "hybrid.launches" @@ fun () ->
   for tt = t_lo to t_hi do
     launch_phase ~tt ~phase:0;
     launch_phase ~tt ~phase:1

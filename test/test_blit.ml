@@ -3,12 +3,13 @@
    [Common.exec_rows] — which sorts the rows, coalesces contiguous
    same-(statement, tstep) extents into long runs and executes them
    through the statement's fused tape plan — must reproduce, bit for
-   bit, the exact per-row replay ([Common.exec_tape_row], the PR-7 path)
-   on randomized class extents: randomly segmented rows (adjacent
-   segments must merge), randomly gapped and clipped boundary rows (gaps
-   break contiguity, so those rows must take the single-row fallback),
-   and randomly shuffled within-tstep input order (the internal sort
-   must restore a dependency-safe schedule). *)
+   bit, the exact per-row replay ([Common.exec_tape_row], one plan call
+   per recorded row, in stream order; test_plan.ml holds the plan itself
+   to a scalar interpreter) on randomized class extents: randomly
+   segmented rows (adjacent segments must merge), randomly gapped and
+   clipped boundary rows (gaps break contiguity, so those rows must take
+   the single-row fallback), and randomly shuffled within-tstep input
+   order (the internal sort must restore a dependency-safe schedule). *)
 
 module Common = Hextile_schemes.Common
 module Grid = Hextile_ir.Grid
