@@ -65,11 +65,11 @@ bench-tilesize:
 	@python3 -c "import json; d=json.load(open('BENCH_tilesize.json'))['experiments']['tilesearch']; print('tilesearch: %d candidates, %d exact evals, exhaustive %.2fs, staged %.2fs' % (d['total_candidates'], d['total_exact_evals'], d['t_exhaustive_s'], d['t_staged_s']))"
 
 # Execution-engine benchmark: times the hybrid scheme over the Table 3
-# suite with the closure reference vs the warp-batched tape engine
-# (tile-class stream memoization on), sequentially and at --jobs 2, and
-# records the comparison in BENCH_sim.json. Fails if any counter or
-# grid diverges between the engines or if the tape engine's total
-# speedup drops below 3x.
+# suite with the per-lane closure reference oracle (selected only here
+# and in the tests) vs the warp-batched tape engine (tile-class stream
+# memoization on), sequentially and at --jobs 2, and records the
+# comparison in BENCH_sim.json. Fails if any counter or grid diverges
+# from the oracle or if the tape engine's total speedup drops below 3x.
 bench-sim:
 	dune exec bench/main.exe -- --only simcmp --jobs 2 --json BENCH_sim.json
 	@python3 -c "import json; d=json.load(open('BENCH_sim.json'))['experiments']['simcmp']; print('simcmp: ref %.2fs tape %.2fs speedup=%.2fx' % (d['t_ref_s'], d['t_tape_s'], d['speedup']))"

@@ -272,15 +272,17 @@ let parattr ~jobs ~quick ~trace_out () =
           ] );
     ]
 
-(* ---- executor benchmark: tape engine vs closure reference ------------ *)
+(* ---- executor benchmark: tape engine vs per-lane reference oracle ----- *)
 
 module Common = Hextile_schemes.Common
 module Counters = Hextile_gpusim.Counters
 
 (* Wall-clock comparison of the warp-batched tape engine (with
    tile-class stream memoization in the hybrid scheme) against the
-   closure-tree reference interpreter, over the Table 3 suite on the
-   hybrid scheme, plus the bit-exactness and jobs-determinism checks.
+   per-lane closure oracle ([Common.Ref], selected through the scheme's
+   [?engine], which no user-facing path exposes), over the Table 3 suite
+   on the hybrid scheme and the scaled device, plus the bit-exactness and
+   jobs-determinism checks.
    Fails if any counter/grid diverges or the total speedup drops below
    3x. The JSON lands in BENCH_sim.json via `make bench-sim`. *)
 let simcmp ~jobs ~quick () =
@@ -306,9 +308,11 @@ let simcmp ~jobs ~quick () =
         let r = f () in
         (r, Unix.gettimeofday () -. t0)
       in
+      let sdev = Experiments.scaled_device dev prog env in
       let run ?pool engine () =
-        Experiments.run_scheme ?pool ~engine ~verify:false Experiments.Hybrid
-          prog env dev
+        Hextile_schemes.Hybrid_exec.run ?pool ~engine prog
+          (fun p -> List.assoc p env)
+          sdev
       in
       let r_ref, t_ref = timed (run Common.Ref) in
       let r_tape, t_tape = timed (run Common.Tape) in

@@ -216,15 +216,6 @@ let scheme_arg =
         Experiments.Hybrid
     & info [ "scheme" ] ~doc:"Tiling scheme to execute.")
 
-let engine_arg =
-  Arg.(
-    value
-    & opt (enum [ ("tape", Common.Tape); ("ref", Common.Ref) ]) Common.Tape
-    & info [ "engine" ]
-        ~doc:
-          "Execution engine: the warp-batched register $(b,tape) (default) or \
-           the per-lane closure $(b,ref)erence interpreter.")
-
 let analytic_arg =
   Arg.(
     value & flag
@@ -238,39 +229,33 @@ let analytic_arg =
            Implies no reference verification.")
 
 let run_cmd =
-  let run file builtin scheme engine dev n t analytic trace trace_out jobs =
-    if analytic && engine = Common.Ref then begin
-      (* reject rather than silently simulating something else: the
-         analytic mode scales tape-executed streams, which the per-lane
-         reference interpreter does not produce *)
-      Fmt.epr
-        "hextile: --analytic requires --engine tape (the ref interpreter \
-         records no streams to scale)@.";
-      1
-    end
-    else
+  let run file builtin scheme dev n t analytic trace trace_out jobs =
     with_prog file builtin (fun prog ->
         with_trace trace (fun () ->
             with_trace_out trace_out @@ fun () ->
             Par.with_pool ~jobs @@ fun pool ->
             let env = [ ("N", n); ("T", t) ] in
-            let t0 = Unix.gettimeofday () in
             (* the reference interpreter is infeasible at the full-size
                instances --analytic exists for; the analytic mode's own
                grids are differentially validated by the test suite *)
             let verify = not analytic in
             match
-              Experiments.run_scheme ~pool ~engine ~analytic ~verify scheme
-                prog env dev
+              let t0 = Unix.gettimeofday () in
+              let r =
+                Experiments.run_scheme ~pool ~analytic ~verify:false scheme
+                  prog env dev
+              in
+              let t1 = Unix.gettimeofday () in
+              if verify then Experiments.verify_result r prog env;
+              let verify_s = if verify then Unix.gettimeofday () -. t1 else 0.0 in
+              (r, t1 -. t0, verify_s)
             with
-            | r ->
+            | r, sim_s, verify_s ->
                 (* like tilesize: the simulation summary goes to stderr
                    unconditionally so stdout stays parseable; the format
                    is the key=value contract of Experiments.sim_summary *)
                 Fmt.epr "%s@."
-                  (Experiments.sim_summary
-                     ~wall_s:(Unix.gettimeofday () -. t0)
-                     ~jobs ~engine r);
+                  (Experiments.sim_summary ~sim_s ~verify_s ~jobs r);
                 Fmt.pr "%s on %s, N=%d T=%d: %s@." r.scheme prog.name n t
                   (if verify then "verified OK" else "completed (analytic)");
                 Fmt.pr "updates            %d@." r.updates;
@@ -295,7 +280,7 @@ let run_cmd =
     (Cmd.info "run"
        ~doc:"Simulate a scheme on the GPU model and verify against the reference.")
     Term.(
-      const run $ file_arg $ builtin_arg $ scheme_arg $ engine_arg $ device_arg
+      const run $ file_arg $ builtin_arg $ scheme_arg $ device_arg
       $ n_arg $ t_arg $ analytic_arg $ trace_arg $ trace_out_arg $ jobs_arg)
 
 let tilesize_cmd =

@@ -106,19 +106,20 @@ type runner = {
    (a __syncthreads after every time step); overtile/ppcg separate their
    phases by kernel launch boundaries instead, which the word table
    already resets on, but their shared instrumentation issues no
-   inter-statement barriers — so only the hybrid runners opt in. *)
+   inter-statement barriers — so only the hybrid runners opt in. The
+   sanitizer forces per-lane execution and live launches, so
+   "hybrid-tape" runs the same configuration unsanitized: the batched
+   tape engine with tile-class memoization. *)
 let runners prog =
   let k = List.length prog.Stencil.stmts in
   let dims = Stencil.spatial_dims prog in
+  let hybrid ?pool p env dev =
+    Hybrid_exec.run ?pool ~config:(hybrid_config p) p env dev
+  in
   let base =
     [
-      {
-        rname = "hybrid";
-        sanitize = true;
-        run =
-          (fun ?pool p env dev ->
-            Hybrid_exec.run ?pool ~config:(hybrid_config p) p env dev);
-      };
+      { rname = "hybrid"; sanitize = true; run = hybrid };
+      { rname = "hybrid-tape"; sanitize = false; run = hybrid };
       {
         rname = "hybrid-global";
         sanitize = true;
@@ -165,7 +166,10 @@ let runners prog =
 let scheme_names prog = List.map (fun r -> r.rname) (runners prog)
 
 let all_scheme_names =
-  [ "hybrid"; "hybrid-global"; "ppcg"; "par4all"; "overtile"; "split" ]
+  [
+    "hybrid"; "hybrid-tape"; "hybrid-global"; "ppcg"; "par4all"; "overtile";
+    "split";
+  ]
 
 (* ---- comparison ------------------------------------------------------- *)
 

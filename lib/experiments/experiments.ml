@@ -18,27 +18,27 @@ let scheme_name = function
   | Patus -> "Patus"
   | Hybrid -> "hybrid"
 
-let engine_name = function Common.Ref -> "ref" | Common.Tape -> "tape"
-
 (* The [hextile run] stderr summary. Machine-parseable contract,
    asserted by the test suite and documented in the README: the fixed
    prefix "sim:" followed by space-separated key=value tokens; keys
    are lowercase [a-z0-9_]+, values contain neither spaces nor '=';
-   the keys wall_ms, blocks, blocks_memoized, engine, jobs,
+   the keys sim_ms, verify_ms, blocks, blocks_memoized, jobs,
    blocks_analytic, classes, epilogue_ms, blit_rows and replay_lines
    are always present, in that order (consumers must tolerate new keys
-   being appended). blit_rows and replay_lines are deterministic at
-   every jobs value; blit_rows counts bulk-blit row reconstruction
-   wherever it runs (memoized-block replay and the analytic epilogue)
-   while replay_lines is analytic-only; epilogue_ms is wall time (main
-   domain only) and is never part of compared artifacts. *)
-let sim_summary ~wall_s ~jobs ~engine (r : Common.result) =
+   being appended). sim_ms and verify_ms are the wall times of the
+   simulation and of the reference check (0 when unverified).
+   blit_rows and replay_lines are deterministic at every jobs value;
+   blit_rows counts bulk-blit row reconstruction wherever it runs
+   (memoized-block replay and the analytic epilogue) while replay_lines
+   is analytic-only; epilogue_ms is wall time (main domain only) and is
+   never part of compared artifacts. *)
+let sim_summary ~sim_s ~verify_s ~jobs (r : Common.result) =
   Fmt.str
-    "sim: wall_ms=%.3f blocks=%d blocks_memoized=%d engine=%s jobs=%d \
+    "sim: sim_ms=%.3f verify_ms=%.3f blocks=%d blocks_memoized=%d jobs=%d \
      blocks_analytic=%d classes=%d epilogue_ms=%.3f blit_rows=%d \
      replay_lines=%d"
-    (1000.0 *. wall_s) r.Common.blocks r.Common.blocks_memoized
-    (engine_name engine) jobs r.Common.blocks_analytic r.Common.classes
+    (1000.0 *. sim_s) (1000.0 *. verify_s) r.Common.blocks
+    r.Common.blocks_memoized jobs r.Common.blocks_analytic r.Common.classes
     r.Common.epilogue_ms r.Common.blit_rows r.Common.replay_lines
 
 let sizes ~quick (p : Stencil.t) =
@@ -104,6 +104,7 @@ let scaled_device (dev : Device.t) (p : Stencil.t) env =
   }
 
 let verify_result (r : Common.result) prog env =
+  Obs.span "experiments.verify" @@ fun () ->
   let reference = Interp.run prog (env_fn env) in
   Hashtbl.iter
     (fun name g ->
@@ -118,18 +119,8 @@ let verify_result (r : Common.result) prog env =
       (Fmt.str "%s on %s: executed %d statement instances, reference has %d"
          r.scheme prog.Stencil.name r.updates expected)
 
-let run_scheme ?pool ?engine ?analytic ?(verify = true) scheme (prog : Stencil.t)
-    env dev =
-  (* The analytic mode memoizes and scales tape-executed streams; under
-     the per-lane reference interpreter there is nothing to scale, and
-     silently degrading to an exact run would misreport what was
-     simulated. Reject the combination loudly instead. *)
-  (match (analytic, engine) with
-  | Some true, Some Common.Ref ->
-      invalid_arg
-        "Experiments.run_scheme: analytic mode requires the tape engine (the \
-         ref interpreter records no streams to scale)"
-  | _ -> ());
+let run_scheme ?pool ?analytic ?(verify = true) scheme (prog : Stencil.t) env
+    dev =
   Obs.span "experiments.run_scheme" @@ fun () ->
   Obs.annot "scheme" (Obs.Str (scheme_name scheme));
   Obs.annot "stencil" (Obs.Str prog.name);
@@ -139,9 +130,9 @@ let run_scheme ?pool ?engine ?analytic ?(verify = true) scheme (prog : Stencil.t
   let r =
     Obs.span "experiments.simulate" @@ fun () ->
     match scheme with
-    | Ppcg -> Ppcg.run ?pool ?engine prog e dev
-    | Par4all -> Par4all.run ?pool ?engine prog e dev
-    | Overtile -> Overtile.run ?pool ?engine prog e dev
+    | Ppcg -> Ppcg.run ?pool prog e dev
+    | Par4all -> Par4all.run ?pool prog e dev
+    | Overtile -> Overtile.run ?pool prog e dev
     | Patus ->
         (* Patus modelled as autotuned space tiling: pick the better of two
            block shapes by simulated time. *)
@@ -154,7 +145,7 @@ let run_scheme ?pool ?engine ?analytic ?(verify = true) scheme (prog : Stencil.t
         List.fold_left
           (fun best tile ->
             let r =
-              Ppcg.run ?pool ?engine ~config:{ tile = Some tile } ~name:"patus"
+              Ppcg.run ?pool ~config:{ tile = Some tile } ~name:"patus"
                 prog e dev
             in
             match best with
@@ -162,9 +153,9 @@ let run_scheme ?pool ?engine ?analytic ?(verify = true) scheme (prog : Stencil.t
             | _ -> Some r)
           None cands
         |> Option.get
-    | Hybrid -> Hybrid_exec.run ?pool ?engine ?analytic prog e dev
+    | Hybrid -> Hybrid_exec.run ?pool ?analytic prog e dev
   in
-  if verify then Obs.span "experiments.verify" (fun () -> verify_result r prog env);
+  if verify then verify_result r prog env;
   r
 
 (* ---- Tables 1 and 2 --------------------------------------------------- *)

@@ -20,17 +20,17 @@ type scheme = Ppcg | Par4all | Overtile | Patus | Hybrid
 
 val scheme_name : scheme -> string
 
-val engine_name : Common.engine -> string
-(** ["ref"] or ["tape"], as accepted by [hextile run --engine]. *)
-
 val sim_summary :
-  wall_s:float -> jobs:int -> engine:Common.engine -> Common.result -> string
+  sim_s:float -> verify_s:float -> jobs:int -> Common.result -> string
 (** The [hextile run] stderr summary line. Contract: the fixed prefix
     ["sim:"] followed by space-separated [key=value] tokens — keys are
     lowercase [[a-z0-9_]+], values contain neither spaces nor ['='],
-    and the keys [wall_ms], [blocks], [blocks_memoized], [engine],
-    [jobs], [blocks_analytic] and [classes] are always present, in that
-    order. Consumers must tolerate new keys being appended. *)
+    and the keys [sim_ms], [verify_ms], [blocks], [blocks_memoized],
+    [jobs], [blocks_analytic], [classes], [epilogue_ms], [blit_rows] and
+    [replay_lines] are always present, in that order. [sim_ms] is the
+    wall time of the simulation, [verify_ms] that of the reference check
+    ({!verify_result}; [0.000] when the run is unverified). Consumers
+    must tolerate new keys being appended. *)
 
 val sizes : quick:bool -> Stencil.t -> (string * int) list
 (** Scaled instantiation of a benchmark (quick: N=128/T=24 in 2D,
@@ -49,7 +49,6 @@ val paper_sizes : Stencil.t -> (string * int) list
 
 val run_scheme :
   ?pool:Hextile_par.Par.pool ->
-  ?engine:Common.engine ->
   ?analytic:bool ->
   ?verify:bool ->
   scheme ->
@@ -58,12 +57,16 @@ val run_scheme :
   Device.t ->
   Common.result
 (** Run one scheme on a scaled instance (device scaling applied inside).
-    With [verify] (default true) the final grids are compared against the
-    reference interpreter and the executed instance count is checked;
-    failures raise. [?pool] parallelizes the simulated thread blocks;
+    With [verify] (default true) the result is checked by
+    {!verify_result}. [?pool] parallelizes the simulated thread blocks;
     results are identical by the determinism contract. [?analytic]
     enables the hierarchical simulation mode (hybrid scheme only; other
     schemes ignore it — see {!Hybrid_exec.run}). *)
+
+val verify_result : Common.result -> Stencil.t -> (string * int) list -> unit
+(** The reference check, in an [experiments.verify] span: the final
+    grids must equal the reference interpreter's bit for bit and the
+    executed instance count its count. Raises [Failure] otherwise. *)
 
 (** {2 Tables} *)
 

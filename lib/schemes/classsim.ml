@@ -79,7 +79,7 @@ let create (ctx : Common.ctx) ~analytic =
   in
   let stride0 = if shared then stride0s.(0) else 0 in
   let mode =
-    if ctx.engine <> Common.Tape || Sanitize.enabled () || not shared then Live
+    if not (Common.batched ctx && shared) then Live
     else
       match analytic with
       | Some a when 4 * stride0 mod ctx.sim.dev.line_bytes = 0 -> Analytic a

@@ -10,9 +10,10 @@
     the analytic epilogue. The mode is a function of the run, never an
     option:
 
-    - {b live} — every block runs its body: the [Ref] engine, the
-      sanitizer (both need per-lane events), or arrays whose s0 strides
-      differ (a class member's translation is then not one word offset);
+    - {b live} — every block runs its body: per-lane execution (not
+      {!Common.batched}: the [Ref] oracle or the sanitizer, both of which
+      need per-lane events), or arrays whose s0 strides differ (a class
+      member's translation is then not one word offset);
     - {b memo} — the first block of each class in
       {!Hextile_gpusim.Sim.block_order} (its representative) runs live
       and records its stream; every other member replays it

@@ -666,7 +666,7 @@ let points r = r.cpoints
 let rows_stats { crows; cblit; _ } =
   (Array.length crows, Array.fold_left (fun a r -> a + r.cmerged) 0 crows, cblit)
 
-let batched_engine ctx = ctx.engine = Tape && not (Sanitize.enabled ())
+let batched ctx = ctx.engine = Tape && not (Sanitize.enabled ())
 
 let strictly_ascending a =
   let ok = ref true in
@@ -676,7 +676,7 @@ let strictly_ascending a =
   !ok
 
 let load_box_rows ctx ~grid ~slot ~box ~skip_x ~shared_addr =
-  let batched = batched_engine ctx in
+  let batched = batched ctx in
   iter_box_rows box ~f:(fun row ->
       let xdim = Array.length row - 1 in
       let xlo = box.blo.(xdim) and xhi = box.bhi.(xdim) in
@@ -719,7 +719,7 @@ let load_layout ctx lay =
         ~shared_addr:(Layout.addr lay ~key))
 
 let shared_copy_rows ctx ~box ~shared_addr =
-  let batched = batched_engine ctx in
+  let batched = batched ctx in
   iter_box_rows box ~f:(fun row ->
       let xdim = Array.length row - 1 in
       let xlo = box.blo.(xdim) in
@@ -742,7 +742,7 @@ let shared_copy_rows ctx ~box ~shared_addr =
       end)
 
 let store_cells ctx ~grid ~cells ~via_shared =
-  let batched = batched_engine ctx in
+  let batched = batched ctx in
   let arr = Array.of_list cells in
   chunks_of arr (fun lane_cells ->
       if batched && strictly_ascending lane_cells then begin
@@ -921,26 +921,29 @@ module Store = struct
     end
 end
 
-let exec_stmt_row ctx ~stmt ~tstep ~point ~xs ?store ?(count = true)
+(* Lanes [x0 .. x0 + n - 1] of a row, one at a time in the per-lane
+   interleaved read/write order: against the grids through the compiled
+   evaluator, or against the block store. *)
+let exec_lanes ctx c (s : Stencil.stmt) ~tstep ~store point ~x0 ~n =
+  let xdim = ctx.dims - 1 in
+  for x = x0 to x0 + n - 1 do
+    point.(xdim) <- x;
+    match store with
+    | None -> c.cwgrid.data.(c.cwflat tstep point) <- c.ceval tstep point
+    | Some st -> Store.exec_lane st ctx c s ~tstep point
+  done
+
+let exec_stmt_row ctx ~stmt ~tstep ~point ~x0 ~n ?store ?(count = true)
     ?loads_subset ~global_reads ~shared_replay ~interleave_store ~use_shared
     ~shared_addr () =
   let s : Stencil.stmt = stmt in
-  let n = Array.length xs in
   if n > 0 then begin
     let xdim = ctx.dims - 1 in
-    let x0 = xs.(0) in
     let c = compile_stmt ctx s in
     let reads = match loads_subset with Some l -> l | None -> c.caccs in
     let nflops = Stencil.flops s in
+    let batched = batched ctx in
     point.(xdim) <- x0;
-    (* The tape engine needs contiguous lanes (all executors pass
-       contiguous xs; the check makes the fallback airtight) and cannot
-       carry the sanitizer's per-lane thread identities. *)
-    let batched =
-      ctx.engine = Tape
-      && (not (Sanitize.enabled ()))
-      && xs.(n - 1) - x0 = n - 1
-    in
     (* Per-row base addresses; lanes advance with stride 1 along x (the
        innermost storage dimension). Batched shared accesses are
        accounted without addresses. *)
@@ -968,22 +971,8 @@ let exec_stmt_row ctx ~stmt ~tstep ~point ~xs ?store ?(count = true)
     and wbase_shared =
       if use_shared && not batched then shared_addr s.write ~point else 0
     in
-    (* Functional execution of one lane, in the per-lane interleaved
-       read/write order: against the grids through the compiled
-       evaluator, or against the block store. *)
-    let lane =
-      match store with
-      | None ->
-          fun x ->
-            point.(xdim) <- x;
-            c.cwgrid.data.(c.cwflat tstep point) <- c.ceval tstep point
-      | Some st ->
-          fun x ->
-            point.(xdim) <- x;
-            Store.exec_lane st ctx c s ~tstep point
-    in
     if not batched then
-      chunks_of xs (fun lane_xs ->
+      chunks_of (Array.init n (fun i -> x0 + i)) (fun lane_xs ->
           let nlanes = Array.length lane_xs in
           let dx0 = lane_xs.(0) - x0 in
           let tids = lane_tids point lane_xs in
@@ -1004,7 +993,7 @@ let exec_stmt_row ctx ~stmt ~tstep ~point ~xs ?store ?(count = true)
             Sim.shared_store_warp ~replay:shared_replay ?tids ctx.sim (addrs wbase_shared 1);
           if interleave_store || not use_shared then
             Sim.global_store_warp ctx.sim (addrs wbase_global 4);
-          Array.iter lane lane_xs;
+          exec_lanes ctx c s ~tstep ~store point ~x0:lane_xs.(0) ~n:nlanes;
           if count then ignore (Atomic.fetch_and_add ctx.updates nlanes))
     else begin
       (* Batched accounting: one event per warp chunk, same event
@@ -1030,6 +1019,7 @@ let exec_stmt_row ctx ~stmt ~tstep ~point ~xs ?store ?(count = true)
         i := !i + nl
       done;
       (* Functional execution. *)
+      let x1 = x0 + n - 1 in
       (match (store, c.tape) with
       | None, Some tape ->
           (* Word bases at x0, validating the other endpoint too: x is
@@ -1037,7 +1027,7 @@ let exec_stmt_row ctx ~stmt ~tstep ~point ~xs ?store ?(count = true)
              per-dimension validity at both row endpoints covers the
              whole contiguous lane range. *)
           let at_x0 fl =
-            point.(xdim) <- xs.(n - 1);
+            point.(xdim) <- x1;
             ignore (fl tstep point);
             point.(xdim) <- x0;
             fl tstep point
@@ -1058,13 +1048,13 @@ let exec_stmt_row ctx ~stmt ~tstep ~point ~xs ?store ?(count = true)
           (* store rows have no grid addresses a recorded stream could
              replay *)
           Sim.record_invalidate ctx.sim;
-          Store.exec_tape_row st ctx c tape s ~tstep point ~x0 ~x1:xs.(n - 1)
+          Store.exec_tape_row st ctx c tape s ~tstep point ~x0 ~x1
       | _, None ->
           (* aliasing hazard: the per-lane interleaved read/write order
              is semantically significant, and a recorded stream could not
              replay it *)
           Sim.record_invalidate ctx.sim;
-          Array.iter lane xs);
+          exec_lanes ctx c s ~tstep ~store point ~x0 ~n);
       if count then ignore (Atomic.fetch_and_add ctx.updates n)
     end
   end

@@ -5,15 +5,16 @@ open Hextile_ir
 open Hextile_gpusim
 
 type engine = Ref | Tape
-(** Execution engine for statement rows. [Tape] (the default) runs
-    warp-batched accounting through [Sim]'s allocation-free batched
-    events and evaluates each statement row with one fused
-    {!Hextile_gpusim.Tape} plan call; [Ref] is the original per-lane
-    closure interpreter, kept as the differential-testing reference.
-    Both produce bit-identical grids and counters; when the
-    {!Hextile_gpusim.Sanitize} sanitizer is enabled, the per-lane
-    reference path runs regardless (it needs per-lane thread
-    identities). *)
+(** Execution engine for statement rows. [Tape], the only engine any
+    user-facing path runs, accounts each row through [Sim]'s
+    allocation-free batched events and evaluates it with one fused
+    {!Hextile_gpusim.Tape} plan call. [Ref] is the original per-lane
+    closure interpreter, kept as an oracle: the two produce
+    bit-identical grids and counters, which [test/test_tape.ml] and
+    [bench simcmp] check by selecting [Ref] through [?engine] on
+    {!make_ctx} and the scheme [run]s. The
+    {!Hextile_gpusim.Sanitize} sanitizer forces the per-lane path (it
+    needs per-lane thread identities); see {!batched}. *)
 
 type compiled
 (** Per-statement compiled evaluator (closure "JIT" over the grids, plus
@@ -38,7 +39,13 @@ type ctx = {
 }
 
 val make_ctx : ?engine:engine -> Stencil.t -> (string -> int) -> Device.t -> ctx
-(** [engine] defaults to {!Tape}. *)
+(** [engine] defaults to {!Tape}; [Ref] selects the per-lane oracle. *)
+
+val batched : ctx -> bool
+(** The one test that picks batched against per-lane execution: the
+    [Tape] engine with the sanitizer off. It decides {!exec_stmt_row},
+    the copy phases ({!load_box_rows}, {!shared_copy_rows},
+    {!store_cells}) and [Classsim]'s launch mode. *)
 
 type result = {
   scheme : string;
@@ -197,7 +204,8 @@ val exec_stmt_row :
   stmt:Stencil.stmt ->
   tstep:int ->
   point:int array ->
-  xs:int array ->
+  x0:int ->
+  n:int ->
   ?store:Store.t ->
   ?count:bool ->
   ?loads_subset:Stencil.access list ->
@@ -208,16 +216,17 @@ val exec_stmt_row :
   shared_addr:(Stencil.access -> point:int array -> int) ->
   unit ->
   unit
-(** Execute the instances of one statement at [tstep] for all [x ∈ xs]
-    varying the innermost dimension of [point] (other coordinates fixed),
+(** Execute the instances of one statement at [tstep] for the [n]
+    contiguous lanes [x0 .. x0 + n - 1] of the innermost dimension of
+    [point] (other coordinates fixed),
     chunked into warps: account one load per distinct read (global or
     shared per [global_reads]), the statement's flops, and the store
     (shared when [use_shared], plus global when [interleave_store] or no
     shared memory is used); then perform the functional update. Without
     [store] the update reads and writes the context grids; with it, it
-    reads and writes the block store (box-relative tape rows on the
-    [Tape] engine, lane by lane on [Ref], under the sanitizer and for
-    aliasing statements); [count]
+    reads and writes the block store (box-relative tape rows when
+    {!batched}, otherwise and for aliasing statements lane by lane);
+    [count]
     (default true) controls whether the instances count toward
     [ctx.updates]; [loads_subset] restricts which reads are *accounted*
     as loads (register tiling keeps the rest in registers across the

@@ -213,17 +213,16 @@ let run ?pool ?engine ?(analytic = false) ?(name = "hybrid") ?config prog env de
           if Array.for_all (fun (l, h2) -> l <= h2) wins then begin
             on_step ();
             if dims = 1 then begin
-              let point = [| s0lo |] in
-              let xs = Array.init (s0hi - s0lo + 1) (fun i -> s0lo + i) in
-              on_row ~stmt ~tstep ~point ~xs
+              on_row ~stmt ~tstep ~point:[| s0lo |] ~x0:s0lo
+                ~n:(s0hi - s0lo + 1)
             end
             else begin
               (* prefix dims: s0 and windows 1..dims-2; x = last dim *)
               let xlo, xhi = wins.(dims - 2) in
-              let xs = Array.init (xhi - xlo + 1) (fun i -> xlo + i) in
               let point = Array.make dims 0 in
               let rec go d =
-                if d = dims - 1 then on_row ~stmt ~tstep ~point ~xs
+                if d = dims - 1 then
+                  on_row ~stmt ~tstep ~point ~x0:xlo ~n:(xhi - xlo + 1)
                 else if d = 0 then
                   for s0 = s0lo to s0hi do
                     point.(0) <- s0;
@@ -248,11 +247,11 @@ let run ?pool ?engine ?(analytic = false) ?(name = "hybrid") ?config prog env de
     if strat.use_shared then begin
       (* pre-pass: the box of every (array, slot) the tile accesses *)
       let row = { Common.blo = Array.make dims 0; bhi = Array.make dims 0 } in
-      iter_tile ~u0 ~s00 ~cls ~on_step:ignore ~on_row:(fun ~stmt ~tstep ~point ~xs ->
+      iter_tile ~u0 ~s00 ~cls ~on_step:ignore ~on_row:(fun ~stmt ~tstep ~point ~x0 ~n ->
           Array.blit point 0 row.blo 0 dims;
           Array.blit point 0 row.bhi 0 dims;
-          row.blo.(dims - 1) <- xs.(0);
-          row.bhi.(dims - 1) <- xs.(Array.length xs - 1);
+          row.blo.(dims - 1) <- x0;
+          row.bhi.(dims - 1) <- x0 + n - 1;
           List.iter
             (fun a -> Common.Layout.cover lay ctx a ~tstep row)
             (stmt.Stencil.write :: Stencil.distinct_reads stmt));
@@ -311,8 +310,8 @@ let run ?pool ?engine ?(analytic = false) ?(name = "hybrid") ?config prog env de
         if !pending_sync then Sim.sync ctx.sim;
         pending_sync := true;
         incr nsteps)
-      ~on_row:(fun ~stmt ~tstep ~point ~xs ->
-        Common.exec_stmt_row ctx ~stmt ~tstep ~point ~xs
+      ~on_row:(fun ~stmt ~tstep ~point ~x0 ~n ->
+        Common.exec_stmt_row ctx ~stmt ~tstep ~point ~x0 ~n
           ?loads_subset:(loads_subset_of stmt)
           ~global_reads:(not strat.use_shared) ~shared_replay:replay
           ~interleave_store:strat.interleave ~use_shared:strat.use_shared
@@ -325,11 +324,10 @@ let run ?pool ?engine ?(analytic = false) ?(name = "hybrid") ?config prog env de
           let slot = Grid.slot g (tstep + wa.time_off) in
           let k = Common.store_key prog wa.array in
           let p = Array.mapi (fun d o -> point.(d) + o) wa.offsets in
-          Array.iter
-            (fun x ->
-              p.(dims - 1) <- x + wa.offsets.(dims - 1);
-              copyout.(k) <- Common.flat g ~slot p :: copyout.(k))
-            xs
+          for x = x0 to x0 + n - 1 do
+            p.(dims - 1) <- x + wa.offsets.(dims - 1);
+            copyout.(k) <- Common.flat g ~slot p :: copyout.(k)
+          done
         end);
     if !pending_sync then Sim.sync ctx.sim;
     (* The perf path skips barriers for steps with no work, so blocks at

@@ -86,7 +86,7 @@ val run :
     {!Classsim}'s: analytic degrades to exact memoized replay when the
     shared s0 stride is not a whole number of cache lines (the condition
     under which class translation is a cache bijection), and both run
-    every block live when the arrays' s0 strides differ or the [Ref]
-    engine or the sanitizer is active; [Common.result.blocks_analytic]
+    every block live when the arrays' s0 strides differ or execution
+    is per-lane (not {!Common.batched}); [Common.result.blocks_analytic]
     reports how many blocks were scaled. Results remain bit-identical
     across [--jobs] values. *)

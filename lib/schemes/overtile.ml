@@ -155,14 +155,11 @@ let run ?pool ?engine ?config prog env dev =
                 let region = regions.(j).(si) in
                 if not (Common.box_is_empty region) then begin
                   let xdim = ctx.dims - 1 in
-                  let xs =
-                    Array.init
-                      (region.bhi.(xdim) - region.blo.(xdim) + 1)
-                      (fun i -> region.blo.(xdim) + i)
-                  in
+                  let x0 = region.blo.(xdim) in
+                  let n = region.bhi.(xdim) - x0 + 1 in
                   let shared_addr = Common.Layout.access_addr lay ctx ~tstep:t in
                   Common.iter_box_rows region ~f:(fun point ->
-                      Common.exec_stmt_row ctx ~stmt ~tstep:t ~point ~xs ~store
+                      Common.exec_stmt_row ctx ~stmt ~tstep:t ~point ~x0 ~n ~store
                         ~count:false ~global_reads:false ~shared_replay:1
                         ~interleave_store:false ~use_shared:true ~shared_addr ())
                 end)

@@ -46,8 +46,8 @@ let run ?pool ?engine ?(config = default_config) prog env dev =
                 let row = !i / row_len and off = !i mod row_len in
                 let frag = min (row_len - off) (stop - !i) in
                 let point = row_point row in
-                let xs = Array.init frag (fun j -> lo.(xdim) + off + j) in
-                Common.exec_stmt_row ctx ~stmt ~tstep ~point ~xs
+                Common.exec_stmt_row ctx ~stmt ~tstep ~point
+                  ~x0:(lo.(xdim) + off) ~n:frag
                   ~global_reads:true ~shared_replay:1 ~interleave_store:false
                   ~use_shared:false
                   ~shared_addr:(fun _ ~point:_ -> 0)

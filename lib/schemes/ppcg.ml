@@ -1,6 +1,5 @@
 open Hextile_ir
 open Hextile_gpusim
-open Hextile_util
 
 type config = { tile : int array option }
 
@@ -65,10 +64,9 @@ let run ?pool ?engine ?(config = default_config) ?(name = "ppcg") prog env dev =
                 (* compute *)
                 Common.iter_box_rows region ~f:(fun point ->
                     let xdim = ctx.dims - 1 in
-                    let xs =
-                      Array.of_list (Intutil.range region.blo.(xdim) region.bhi.(xdim))
-                    in
-                    Common.exec_stmt_row ctx ~stmt ~tstep ~point ~xs
+                    let x0 = region.blo.(xdim) in
+                    Common.exec_stmt_row ctx ~stmt ~tstep ~point ~x0
+                      ~n:(region.bhi.(xdim) - x0 + 1)
                       ~global_reads:false ~shared_replay:1 ~interleave_store:true
                       ~use_shared:false
                       ~shared_addr:(Common.Layout.access_addr lay ctx ~tstep)

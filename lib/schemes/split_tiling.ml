@@ -56,7 +56,7 @@ let run ?pool ?engine ?(config = default_config) prog env dev =
     let xlo = r.blo.(0) and xhi = r.bhi.(0) in
     if xlo <= xhi then
       Common.exec_stmt_row ctx ~stmt:ctx.stmts.(0) ~tstep ~point:[| xlo |]
-        ~xs:(Array.init (xhi - xlo + 1) (fun i -> xlo + i))
+        ~x0:xlo ~n:(xhi - xlo + 1)
         ?store ~global_reads:false ~shared_replay:1 ~interleave_store:true
         ~use_shared:true ~shared_addr ()
   in

@@ -4,7 +4,7 @@ module Json = Hextile_obs.Json
 module Tile_size = Hextile_tiling.Tile_size
 
 type ts_key = int list list * (string * int) list
-type run_key = Stencil.t * (string * int) list * string * string * string * bool
+type run_key = Stencil.t * (string * int) list * string * string * bool
 type comp_key = Stencil.t * int option * int list option * (string * int) list
 
 type entry = {

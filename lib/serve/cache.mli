@@ -58,10 +58,10 @@ val run :
   t ->
   entry option ->
   key:
-    (Stencil.t * (string * int) list * string * string * string * bool) ->
+    (Stencil.t * (string * int) list * string * string * bool) ->
   (unit -> Hextile_obs.Json.t) ->
   Hextile_obs.Json.t
-(** [key] is (program, env, device, scheme, engine, analytic); the value
+(** [key] is (program, env, device, scheme, analytic); the value
     is the full deterministic response payload. *)
 
 val compile :

@@ -52,11 +52,6 @@ let scheme_of = function
   | "patus" -> Ok Experiments.Patus
   | s -> Error (Printf.sprintf "unknown scheme %S" s)
 
-let engine_of = function
-  | "tape" -> Ok Common.Tape
-  | "ref" -> Ok Common.Ref
-  | e -> Error (Printf.sprintf "unknown engine %S (tape or ref)" e)
-
 let ( let* ) = Result.bind
 
 (* ---- per-op payloads --------------------------------------------------- *)
@@ -66,11 +61,10 @@ let ( let* ) = Result.bind
    simulator. That purity is what makes whole-payload caching and the
    cold/warm bit-identity contract sound. *)
 
-let run_payload (r : Proto.request) prog env dev scheme engine =
+let run_payload (r : Proto.request) prog env dev scheme =
   let verify = not r.analytic in
   match
-    Experiments.run_scheme ~engine ~analytic:r.analytic ~verify scheme prog env
-      dev
+    Experiments.run_scheme ~analytic:r.analytic ~verify scheme prog env dev
   with
   | exception Failure m -> Error m
   | result ->
@@ -80,7 +74,6 @@ let run_payload (r : Proto.request) prog env dev scheme engine =
              ("op", Json.Str "run");
              ("program", Json.Str prog.Stencil.name);
              ("env", Json.Obj [ ("N", Json.Int r.n); ("T", Json.Int r.t) ]);
-             ("engine", Json.Str (Experiments.engine_name engine));
              ("analytic", Json.Bool r.analytic);
              ("verified", Json.Bool verify);
              ("grids_hash", Json.Str (grids_hash prog result.Common.grids));
@@ -202,25 +195,10 @@ let execute ~cache (r : Proto.request) =
       | Proto.Run -> (
           let* dev = device_of r.device in
           let* scheme = scheme_of r.scheme in
-          let* engine = engine_of r.engine in
-          let* () =
-            if r.analytic && engine = Hextile_schemes.Common.Ref then
-              Error
-                "analytic mode requires the tape engine (the ref interpreter \
-                 records no streams to scale)"
-            else Ok ()
-          in
-          let key =
-            ( prog,
-              env,
-              r.device,
-              r.scheme,
-              r.engine,
-              r.analytic )
-          in
+          let key = (prog, env, r.device, r.scheme, r.analytic) in
           match
             Cache.run cache entry ~key (fun () ->
-                match run_payload r prog env dev scheme engine with
+                match run_payload r prog env dev scheme with
                 | Ok j -> j
                 | Error m -> raise (Request_error m))
           with

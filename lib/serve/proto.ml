@@ -11,7 +11,6 @@ type request = {
   t : int;
   device : string;
   scheme : string;
-  engine : string;
   analytic : bool;
   h : int option;
   w : int list option;
@@ -72,7 +71,6 @@ let parse_request line =
                       t = Option.value ~default:16 (int "T");
                       device = Option.value ~default:"gtx470" (str "device");
                       scheme = Option.value ~default:"hybrid" (str "scheme");
-                      engine = Option.value ~default:"tape" (str "engine");
                       analytic = bool "analytic";
                       h = int "h";
                       w;

@@ -10,7 +10,6 @@
      "N": 64, "T": 16,        // environment (defaults 64 / 16)
      "device": "gtx470",      // or "nvs5200"
      "scheme": "hybrid",      // ppcg | par4all | overtile | patus
-     "engine": "tape",        // or "ref"
      "analytic": false,
      "h": 3, "w": [32, 4],    // optional tile overrides (compile)
      "timeout_ms": 500}       // optional admission deadline
@@ -36,7 +35,6 @@ type request = {
   t : int;
   device : string;
   scheme : string;
-  engine : string;
   analytic : bool;
   h : int option;
   w : int list option;

@@ -198,6 +198,28 @@ let test_oracle_catches_mutant () =
            c.f_failures))
     s.cases
 
+(* The sanitized hybrid runners execute every block live and per lane;
+   "hybrid-tape" exists so that fuzzing also checks the tape engine's
+   tile-class memo replay, which its oracle runs must therefore reach. *)
+let test_hybrid_tape_runner_memoizes () =
+  let module Obs = Hextile_obs.Obs in
+  Obs.reset ();
+  Obs.enable ();
+  Fun.protect ~finally:(fun () -> Obs.disable (); Obs.reset ()) @@ fun () ->
+  let rng = Check.Rng.create 5 in
+  for i = 0 to 7 do
+    let prog, env = Check.Gen.generate (Check.Rng.derive rng i) in
+    match Check.Oracle.check ~schemes:[ "hybrid-tape" ] prog env dev with
+    | Ok [] -> ()
+    | Ok fs ->
+        Alcotest.failf "program %d: %a" i
+          Fmt.(list ~sep:(any "; ") Check.Oracle.pp_failure)
+          fs
+    | Error m -> Alcotest.failf "program %d: %s" i m
+  done;
+  Alcotest.(check bool) "some blocks replayed" true
+    (Obs.counter "sim.blocks_memoized" > 0)
+
 let test_oracle_scheme_filter () =
   let prog, env = Check.Gen.generate (Check.Rng.create 11) in
   (match Check.Oracle.check ~schemes:[ "par4all" ] prog env dev with
@@ -297,6 +319,8 @@ let suite =
       test_oracle_clean_suite;
     Alcotest.test_case "oracle catches + shrinks mutants" `Quick
       test_oracle_catches_mutant;
+    Alcotest.test_case "hybrid-tape runner memoizes" `Quick
+      test_hybrid_tape_runner_memoizes;
     Alcotest.test_case "oracle scheme filter" `Quick test_oracle_scheme_filter;
     Alcotest.test_case "shrink fixpoint" `Quick test_shrink_fixpoint;
     Alcotest.test_case "shrink candidates strictly smaller" `Quick

@@ -59,9 +59,9 @@ let test_figures_nonempty () =
       ("tilesize", E.tile_size_sweep_text);
     ]
 
-(* The stderr summary contract gained blocks_analytic and classes: both
-   always present (in order, after the original five keys), echoing the
-   result's fields — 0 outside analytic mode, the class tallies in it. *)
+(* The stderr summary contract: every key present in order;
+   blocks_analytic and classes echo the result's fields — 0 outside
+   analytic mode, the class tallies in it. *)
 let test_sim_summary_analytic_keys () =
   let parse line =
     match String.split_on_char ' ' line with
@@ -78,7 +78,7 @@ let test_sim_summary_analytic_keys () =
   in
   let summary r =
     parse
-      (E.sim_summary ~wall_s:0.5 ~jobs:1 ~engine:Hextile_schemes.Common.Tape r)
+      (E.sim_summary ~sim_s:0.5 ~verify_s:0.25 ~jobs:1 r)
   in
   let env = [ ("N", 128); ("T", 24) ] in
   let exact = E.run_scheme E.Hybrid Suite.laplacian2d env Device.gtx470 in
@@ -86,7 +86,7 @@ let test_sim_summary_analytic_keys () =
   Alcotest.(check (list string))
     "keys in contract order"
     [
-      "wall_ms"; "blocks"; "blocks_memoized"; "engine"; "jobs";
+      "sim_ms"; "verify_ms"; "blocks"; "blocks_memoized"; "jobs";
       "blocks_analytic"; "classes"; "epilogue_ms"; "blit_rows";
       "replay_lines";
     ]
@@ -131,18 +131,6 @@ let test_sim_summary_analytic_keys () =
     "analytic run replayed lines" true
     (analytic.Hextile_schemes.Common.replay_lines > 0)
 
-(* Analytic mode only makes sense over the tape engine: the ref
-   interpreter records no streams, so there is nothing to scale. The
-   combination is rejected eagerly rather than silently running exact. *)
-let test_analytic_requires_tape_engine () =
-  Alcotest.check_raises "analytic + ref engine rejected"
-    (Invalid_argument
-       "Experiments.run_scheme: analytic mode requires the tape engine (the \
-        ref interpreter records no streams to scale)") (fun () ->
-      ignore
-        (E.run_scheme ~engine:Hextile_schemes.Common.Ref ~analytic:true
-           ~verify:false E.Hybrid Suite.laplacian2d tiny2 Device.gtx470))
-
 let test_verification_catches_corruption () =
   let prog = Suite.heat2d in
   let r = E.run_scheme E.Ppcg prog tiny2 Device.gtx470 in
@@ -162,8 +150,6 @@ let suite =
     Alcotest.test_case "figure texts render" `Quick test_figures_nonempty;
     Alcotest.test_case "sim summary: analytic contract keys" `Quick
       test_sim_summary_analytic_keys;
-    Alcotest.test_case "analytic requires tape engine" `Quick
-      test_analytic_requires_tape_engine;
     Alcotest.test_case "verification catches corruption" `Quick
       test_verification_catches_corruption;
   ]

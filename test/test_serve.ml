@@ -89,7 +89,6 @@ let request ?(id = Json.Null) ?source ?builtin ?(n = 64) ?(t = 8)
     t;
     device = "gtx470";
     scheme = "hybrid";
-    engine = "tape";
     analytic = false;
     h;
     w;
@@ -231,6 +230,33 @@ let test_daemon_dedupe_and_waves () =
     (strip_id (List.nth out 0))
     (strip_id (List.nth out2 1))
 
+(* The engine is not part of a request: every run simulates on the tape
+   engine, so a request that still carries an "engine" key is the same
+   work as one without it — byte-identical reply, served from the run
+   cache — exact and analytic alike. *)
+let test_engine_field_ignored () =
+  let cache = Cache.create () in
+  List.iter
+    (fun mode ->
+      let line extra =
+        Printf.sprintf
+          "{\"id\":1,\"op\":\"run\",\"builtin\":\"heat1d\",\"N\":64,\"T\":8%s%s}"
+          mode extra
+      in
+      let s0 = Cache.stats cache in
+      let out = drive ~cache ~jobs:1 [ line ""; ""; line ",\"engine\":\"ref\"" ] in
+      let s1 = Cache.stats cache in
+      Alcotest.(check int) (mode ^ ": one reply per request") 2 (List.length out);
+      Alcotest.(check bool) (mode ^ ": run succeeds") true (is_ok (List.hd out));
+      Alcotest.(check string)
+        (mode ^ ": reply byte-identical without the field")
+        (List.nth out 0) (List.nth out 1);
+      Alcotest.(check (pair int int))
+        (mode ^ ": one miss, then a hit")
+        (1, 1)
+        (s1.Cache.run_misses - s0.Cache.run_misses, s1.Cache.run_hits - s0.Cache.run_hits))
+    [ ""; ",\"analytic\":true" ]
+
 let test_daemon_shed_and_deadline () =
   let cache = Cache.create () in
   let config = { Daemon.max_queue = 2; max_wave = 64 } in
@@ -361,8 +387,7 @@ let test_fuzz_agrees_with_oneshot () =
         | Error m -> Alcotest.failf "serve run failed: %s" m
       in
       let oneshot =
-        Experiments.run_scheme ~engine:Hextile_schemes.Common.Tape
-          Experiments.Hybrid prog
+        Experiments.run_scheme Experiments.Hybrid prog
           [ ("N", n); ("T", t) ]
           Hextile_gpusim.Device.gtx470
       in
@@ -452,6 +477,8 @@ let suite =
     Alcotest.test_case "daemon: protocol errors" `Quick test_daemon_protocol;
     Alcotest.test_case "daemon: wave dedupe and cache replay" `Quick
       test_daemon_dedupe_and_waves;
+    Alcotest.test_case "daemon: engine field is ignored" `Quick
+      test_engine_field_ignored;
     Alcotest.test_case "daemon: shed and deadline" `Quick
       test_daemon_shed_and_deadline;
     Alcotest.test_case "daemon: shutdown" `Quick test_daemon_shutdown;

@@ -313,8 +313,7 @@ let test_sim_summary_format () =
   let env p = List.assoc p [ ("N", 64); ("T", 8) ] in
   let r = Hextile_schemes.Hybrid_exec.run prog env Device.gtx470 in
   let line =
-    Experiments.sim_summary ~wall_s:1.25 ~jobs:3
-      ~engine:Hextile_schemes.Common.Tape r
+    Experiments.sim_summary ~sim_s:1.25 ~verify_s:0.5 ~jobs:3 r
   in
   (match String.split_on_char ' ' line with
   | "sim:" :: tokens ->
@@ -336,23 +335,24 @@ let test_sim_summary_format () =
                 (k, v))
           tokens
       in
-      (* the seven contract keys, present in order (new keys may follow) *)
+      (* the contract keys, present in order (new keys may follow) *)
       (match List.map fst kvs with
-      | "wall_ms" :: "blocks" :: "blocks_memoized" :: "engine" :: "jobs"
-        :: "blocks_analytic" :: "classes" :: _ ->
+      | "sim_ms" :: "verify_ms" :: "blocks" :: "blocks_memoized" :: "jobs"
+        :: "blocks_analytic" :: "classes" :: "epilogue_ms" :: "blit_rows"
+        :: "replay_lines" :: _ ->
           ()
       | keys ->
           Alcotest.failf "key order broken: %s" (String.concat "," keys));
       Alcotest.(check (option string)) "jobs echoed" (Some "3")
         (List.assoc_opt "jobs" kvs);
-      Alcotest.(check (option string)) "engine name" (Some "tape")
-        (List.assoc_opt "engine" kvs);
       Alcotest.(check (option string))
         "blocks from the result"
         (Some (string_of_int r.Hextile_schemes.Common.blocks))
         (List.assoc_opt "blocks" kvs);
-      Alcotest.(check (option (float 1e-6))) "wall in ms" (Some 1250.0)
-        (Option.bind (List.assoc_opt "wall_ms" kvs) float_of_string_opt)
+      Alcotest.(check (option (float 1e-6))) "simulation in ms" (Some 1250.0)
+        (Option.bind (List.assoc_opt "sim_ms" kvs) float_of_string_opt);
+      Alcotest.(check (option (float 1e-6))) "verification in ms" (Some 500.0)
+        (Option.bind (List.assoc_opt "verify_ms" kvs) float_of_string_opt)
   | _ -> Alcotest.failf "summary %S does not start with \"sim:\"" line)
 
 let suite =
